@@ -7,10 +7,6 @@ from .core import (
     ModularOracle,
     SubmodularOracle,
     check_submodular_monotone,
-    evaluate,
-    marginal_gain,
-    rho_empty_all,
-    rho_full_complement_all,
 )
 from .cuts import (
     Cut,
@@ -26,7 +22,6 @@ from .cuts import (
 from .follower import (
     FollowerTimeout,
     SepResult,
-    enhanced_integer_separation,
     greedy,
     phi,
     solve_sep,
@@ -45,7 +40,6 @@ from .master import (
 from .problems import (
     BiigInstance,
     WmcigInstance,
-    biig_oracle,
     biig_superiority,
     dump_instance,
     export_miblp,
@@ -53,7 +47,6 @@ from .problems import (
     gen_wmcig,
     load_instance,
     parse_instance,
-    wmcig_oracle,
     wmcig_superiority,
     write_instance,
 )

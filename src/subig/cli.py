@@ -118,12 +118,10 @@ def _parse_config(args) -> master.SolverConfig:
     if "-S" not in setting:
         setting = f"{setting}-{args.frac_sep}"
     overrides = {}
-    if getattr(args, "time_limit", None) is not None:
+    if args.time_limit is not None:
         overrides["time_limit"] = args.time_limit
-    if getattr(args, "node_limit", None) is not None:
+    if args.node_limit is not None:
         overrides["node_limit"] = args.node_limit
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
     return master.SolverConfig.from_setting(setting, **overrides)
 
 
@@ -137,23 +135,15 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _solve_one(path: str, setting: str, time_limit: Optional[float], node_limit: Optional[int]):
+def _solve_one(path: str, config: master.SolverConfig) -> RunRecord:
+    """Load one instance file, solve it, and return its run record."""
     inst = problems.load_instance(path)
-    overrides = {}
-    if time_limit is not None:
-        overrides["time_limit"] = time_limit
-    if node_limit is not None:
-        overrides["node_limit"] = node_limit
-    config = master.SolverConfig.from_setting(setting, **overrides)
     result = master.solve(inst, inst.oracle(), config)
     return make_record(inst, config.setting(), result)
 
 
 def cmd_solve(args) -> int:
-    config = _parse_config(args)
-    inst = problems.load_instance(args.instance)
-    result = master.solve(inst, inst.oracle(), config)
-    record = make_record(inst, config.setting(), result)
+    record = _solve_one(args.instance, _parse_config(args))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(RUN_COLUMNS)
@@ -185,13 +175,9 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _bench_entry(entry):
-    path, setting, time_limit, node_limit = entry
-    return _solve_one(path, setting, time_limit, node_limit)
-
-
 def cmd_bench(args) -> int:
-    entries = []
+    paths: List[str] = []
+    configs: List[master.SolverConfig] = []
     with open(args.manifest, encoding="utf-8") as fh:
         for ln in fh:
             ln = ln.strip()
@@ -200,13 +186,15 @@ def cmd_bench(args) -> int:
             parts = ln.split()
             if len(parts) != 2:
                 raise SystemExit(f"bad manifest line: {ln!r}")
-            entries.append((parts[0], parts[1], args.time_limit, args.node_limit))
-    records: List[RunRecord] = []
+            paths.append(parts[0])
+            configs.append(master.SolverConfig.from_setting(
+                parts[1], time_limit=args.time_limit, node_limit=args.node_limit
+            ))
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            records = list(pool.map(_bench_entry, entries))
+            records = list(pool.map(_solve_one, paths, configs))
     else:
-        records = [_bench_entry(e) for e in entries]
+        records = [_solve_one(p, c) for p, c in zip(paths, configs)]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RUN_COLUMNS)
@@ -247,19 +235,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_generate)
 
-    def add_solver_flags(p, with_seed=True):
+    def add_solver_flags(p):
         p.add_argument("--setting", default="ILDAE-S1")
         p.add_argument("--frac-sep", default="S1", choices=["S1", "S2", "S3"], dest="frac_sep")
         p.add_argument("--time-limit", type=float, default=None, dest="time_limit")
         p.add_argument("--node-limit", type=int, default=None, dest="node_limit")
-        if with_seed:
-            p.add_argument("--seed", type=int, default=None)
 
     slv = sub.add_parser("solve", help="solve one instance and print a run record")
     slv.add_argument("instance")
     add_solver_flags(slv)
     slv.add_argument("--out", default=None)
-    slv.add_argument("--format", default="csv", choices=["csv"])
     slv.set_defaults(func=cmd_solve)
 
     ver = sub.add_parser("verify", help="solve and compare against brute force")
@@ -273,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--threads", type=int, default=1)
     ben.add_argument("--time-limit", type=float, default=3600.0, dest="time_limit")
     ben.add_argument("--node-limit", type=int, default=None, dest="node_limit")
-    ben.add_argument("--format", default="csv", choices=["csv"])
     ben.set_defaults(func=cmd_bench)
 
     exp = sub.add_parser("export-miblp", help="write the bilevel MIP text model")

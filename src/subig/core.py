@@ -9,7 +9,7 @@ construction and safe to share, evaluators are single-owner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,12 @@ class Evaluator:
     def __init__(self, oracle: "SubmodularOracle"):
         self._oracle = oracle
         self.members: set = set()
-        self.value: float = 0.0
+        self._value: float = 0.0
+
+    @property
+    def value(self) -> float:
+        """z of the current member set."""
+        return self._value
 
     def reset(self, items: Iterable[int] = ()) -> None:
         while self.members:
@@ -38,13 +43,13 @@ class Evaluator:
         if i in self.members:
             return
         self.members.add(i)
-        self.value = self._oracle.value(self.members)
+        self._value = self._oracle.value(self.members)
 
     def remove(self, i: int) -> None:
         if i not in self.members:
             return
         self.members.discard(i)
-        self.value = self._oracle.value(self.members)
+        self._value = self._oracle.value(self.members)
 
     def gain(self, i: int) -> float:
         """Marginal gain of adding i to the current member set (0 if present)."""
@@ -131,33 +136,15 @@ class _ModularEvaluator(Evaluator):
     def add(self, i):
         if i not in self.members:
             self.members.add(i)
-            self.value += self._oracle.weights[i]
+            self._value += self._oracle.weights[i]
 
     def remove(self, i):
         if i in self.members:
             self.members.discard(i)
-            self.value -= self._oracle.weights[i]
+            self._value -= self._oracle.weights[i]
 
     def gain(self, i):
         return 0.0 if i in self.members else float(self._oracle.weights[i])
-
-
-def evaluate(oracle: SubmodularOracle, items: Iterable[int]) -> float:
-    """z(S); deterministic, repeated calls identical."""
-    return oracle.value(items)
-
-
-def marginal_gain(oracle: SubmodularOracle, items: Iterable[int], i: int) -> float:
-    """rho_i(S) = z(S + i) - z(S); zero when i is already a member."""
-    return oracle.gain(items, i)
-
-
-def rho_empty_all(oracle: SubmodularOracle) -> Dict[int, float]:
-    return {i: float(v) for i, v in enumerate(oracle.rho_empty())}
-
-
-def rho_full_complement_all(oracle: SubmodularOracle) -> Dict[int, float]:
-    return {i: float(v) for i, v in enumerate(oracle.rho_full_complement())}
 
 
 @dataclass
@@ -206,7 +193,11 @@ def check_submodular_monotone(
 
 @dataclass(frozen=True)
 class KnapsackSystem:
-    """Follower-side knapsack constraints: costs (L x n), capacities (L,)."""
+    """Follower-side knapsack constraints: costs (L x n), capacities (L,).
+
+    The costs are also kept as one read-only L x n float array, which every
+    weight and fit test reads.
+    """
 
     costs: Tuple[Tuple[float, ...], ...]
     caps: Tuple[float, ...]
@@ -215,8 +206,14 @@ class KnapsackSystem:
         if len(self.costs) != len(self.caps):
             raise ValueError("one capacity per cost row required")
         for row in self.costs:
+            if len(row) != self.n:
+                raise ValueError("every cost row needs one entry per item")
             if any(c < 0 for c in row):
                 raise ValueError("knapsack costs must be non-negative")
+        matrix = np.array(self.costs, dtype=float).reshape(len(self.caps), self.n)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "_matrix", matrix)
+        object.__setattr__(self, "_limits", np.asarray(self.caps, dtype=float) + 1e-9)
 
     @classmethod
     def cardinality(cls, n: int, budget: float) -> "KnapsackSystem":
@@ -230,26 +227,22 @@ class KnapsackSystem:
     def n(self) -> int:
         return len(self.costs[0]) if self.costs else 0
 
-    def cost_matrix(self) -> np.ndarray:
-        return np.asarray(self.costs, dtype=float)
-
     def weight(self, items: Iterable[int]) -> np.ndarray:
         w = np.zeros(self.L)
         for i in items:
-            for ell in range(self.L):
-                w[ell] += self.costs[ell][i]
+            w += self._matrix[:, i]
         return w
 
     def fits(self, items: Iterable[int]) -> bool:
-        w = self.weight(items)
-        return bool(np.all(w <= np.asarray(self.caps) + 1e-9))
+        return self.fits_weight(self.weight(items))
 
     def fits_weight(self, weight: np.ndarray) -> bool:
-        return bool(np.all(weight <= np.asarray(self.caps) + 1e-9))
+        return bool(np.all(weight <= self._limits))
 
     def item_cost(self, i: int) -> np.ndarray:
-        return np.array([self.costs[ell][i] for ell in range(self.L)])
+        """Column i of the cost array: a read-only view, not a copy."""
+        return self._matrix[:, i]
 
     def cost_le(self, i: int, j: int) -> bool:
         """True when item i costs no more than item j in every constraint."""
-        return all(self.costs[ell][i] <= self.costs[ell][j] for ell in range(self.L))
+        return bool(np.all(self._matrix[:, i] <= self._matrix[:, j]))

@@ -32,15 +32,8 @@ class Cut:
     # (a, b, coef) triples folded into (c0, g); a is None for pure lift terms
     pairs: Tuple[Tuple[int | None, int, float], ...] = ()
 
-    def coef(self, i: int) -> float:
-        return self.g.get(i, 0.0)
-
     def rhs(self, x: Sequence[float]) -> float:
         return self.c0 + sum(gi * x[i] for i, gi in sorted(self.g.items()))
-
-    def key(self) -> Tuple:
-        """Canonical content key; identical folded cuts compare equal."""
-        return (round(self.c0, 12), tuple((i, round(gi, 12)) for i, gi in sorted(self.g.items())))
 
     @property
     def source_set(self) -> frozenset:

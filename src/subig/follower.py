@@ -58,14 +58,13 @@ def greedy(
     ev = oracle.scratch()
     ev.reset(seed)
     weight = knapsacks.weight(seed)
-    caps = np.asarray(knapsacks.caps)
     current = set(seed)
     while True:
         best = None
         for i in ground:
             if i in current:
                 continue
-            if not np.all(weight + knapsacks.item_cost(i) <= caps + 1e-9):
+            if not knapsacks.fits_weight(weight + knapsacks.item_cost(i)):
                 continue
             g = ev.gain(i)
             if best is None or g > best[0] + 1e-12:
@@ -84,7 +83,6 @@ def bounding_rows(
     oracle: SubmodularOracle,
     available: Sequence[int],
     s_hat: Iterable[int],
-    rho_full: np.ndarray | None = None,
     scratch=None,
 ) -> List[Tuple[Dict[int, float], float]]:
     """The two submodular upper-bound rows anchored at s_hat, each returned as
@@ -94,8 +92,7 @@ def bounding_rows(
     once per instance and valid for any availability); row two uses empty-set
     gains for entrants and within-set complement gains for leavers.
     """
-    if rho_full is None:
-        rho_full = oracle.rho_full_complement()
+    rho_full = oracle.rho_full_complement()
     rho0 = oracle.rho_empty()
     ev = scratch if scratch is not None else oracle.scratch()
     sset = set(s_hat)
@@ -126,7 +123,6 @@ def solve_sep(
     knapsacks: KnapsackSystem,
     cutoff: float | None = None,
     time_budget: float | None = None,
-    rho_full: np.ndarray | None = None,
 ) -> SepResult:
     """Exact follower optimum over the available items via branch-and-cut.
 
@@ -140,10 +136,6 @@ def solve_sep(
     if not items:
         return SepResult(frozenset(), 0.0, 0.0, OPTIMAL)
     t0 = time.monotonic()
-    if rho_full is None:
-        rho_full = oracle.rho_full_complement()
-    rho0 = oracle.rho_empty()
-
     ub_theta = oracle.value(items)  # monotonicity: no subset beats the full set
     inc_set, _ = greedy(oracle, items, knapsacks=knapsacks)
     inc_val = oracle.value(inc_set)
@@ -167,7 +159,7 @@ def solve_sep(
         """Bounding rows anchored at s_hat; returns how many were new and
         violated at (theta*, y*)."""
         added = 0
-        for coefs, rhs in bounding_rows(oracle, items, s_hat, rho_full=rho_full, scratch=ev):
+        for coefs, rhs in bounding_rows(oracle, items, s_hat, scratch=ev):
             lhs = theta_star - sum(c * y_star[ycol[i]] for i, c in coefs.items())
             if lhs > rhs + 1e-7:
                 row = {ycol[i]: -c for i, c in coefs.items()}
@@ -252,7 +244,6 @@ def phi(
     x: Sequence[float],
     knapsacks: KnapsackSystem,
     time_budget: float | None = None,
-    rho_full: np.ndarray | None = None,
 ) -> float:
     """Follower value under interdiction x (binary): exact optimum over the
     uninterdicted items."""
@@ -263,32 +254,8 @@ def phi(
             raise ValueError("interdiction vector must be binary")
         if xi <= INT_TOL:
             avail.append(i)
-    res = solve_sep(oracle, avail, knapsacks, time_budget=time_budget, rho_full=rho_full)
+    res = solve_sep(oracle, avail, knapsacks, time_budget=time_budget)
     if res.status == TIMED_OUT:
         raise FollowerTimeout("follower subproblem exceeded its time budget")
     return res.value
 
-
-def enhanced_integer_separation(
-    oracle: SubmodularOracle,
-    w_star: float,
-    x_star: Sequence[float],
-    knapsacks: KnapsackSystem,
-    time_budget: float | None = None,
-    rho_full: np.ndarray | None = None,
-) -> frozenset:
-    """Greedy first; if its cut is already violated at (w*, x*) return that
-    set, otherwise fall back to the exact solver run in cutoff mode.  An empty
-    result certifies that no violated cut exists at (w*, x*)."""
-    avail = [i for i in range(oracle.n) if x_star[i] <= INT_TOL]
-    s_hat, _ = greedy(oracle, avail, knapsacks=knapsacks)
-    if oracle.value(s_hat) > w_star + CUTOFF_SLACK:
-        return frozenset(s_hat)
-    res = solve_sep(
-        oracle, avail, knapsacks, cutoff=w_star, time_budget=time_budget, rho_full=rho_full
-    )
-    if res.status == TIMED_OUT:
-        raise FollowerTimeout("follower subproblem exceeded its time budget")
-    if res.value > w_star + CUTOFF_SLACK:
-        return res.items
-    return frozenset()

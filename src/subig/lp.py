@@ -104,18 +104,6 @@ class LpModel:
             raise ValueError(f"variable {j} is not fixed")
         self.lb[j], self.ub[j] = self._saved_bounds.pop(j)
 
-    def clone(self) -> "LpModel":
-        other = LpModel(self.sense)
-        other.lb = list(self.lb)
-        other.ub = list(self.ub)
-        other.obj = list(self.obj)
-        other.names = list(self.names)
-        other.rows = [dict(r) for r in self.rows]
-        other.rhs = list(self.rhs)
-        other._row_index = dict(self._row_index)
-        other._saved_bounds = dict(self._saved_bounds)
-        return other
-
     def dump(self) -> str:
         """Plain-text listing, one row per line, 12 significant digits."""
         out = []

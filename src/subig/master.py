@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import re
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +46,6 @@ class SolverConfig:
     frac_violation_threshold: float = 0.01
     time_limit: float = 3600.0
     node_limit: Optional[int] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.cut_family not in ("basic", "improved"):
@@ -83,32 +82,6 @@ class SolverConfig:
             + "-"
             + self.frac_strategy
         )
-
-    def to_text(self) -> str:
-        rows = []
-        for key, val in asdict(self).items():
-            rows.append(f"{key}={'' if val is None else val}")
-        return "\n".join(rows) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "SolverConfig":
-        kwargs = {}
-        for ln in text.splitlines():
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            key, val = ln.split("=", 1)
-            if key in ("enable_lift", "enable_dominance", "enable_alternative", "enable_enhanced_int_sep"):
-                kwargs[key] = val == "True"
-            elif key in ("frac_violation_threshold", "time_limit"):
-                kwargs[key] = float(val)
-            elif key == "node_limit":
-                kwargs[key] = int(val) if val else None
-            elif key == "seed":
-                kwargs[key] = int(val)
-            else:
-                kwargs[key] = val
-        return cls(**kwargs)
 
 
 @dataclass
@@ -159,12 +132,25 @@ def dominance_preprocess(instance, oracle: SubmodularOracle) -> List[Tuple[int, 
     return out
 
 
-def _leader_feasible_add(x_prime: Sequence[float], i: int, leader_rows) -> bool:
-    for coefs, rhs in leader_rows:
-        total = sum(c * x_prime[j] for j, c in coefs.items()) + coefs.get(i, 0.0)
-        if total > rhs + 1e-9:
-            return False
-    return True
+def _leader_feasible(ones: Sequence[int], leader_rows) -> bool:
+    """True when interdicting every item in ``ones`` keeps each leader row."""
+    return all(sum(coefs.get(j, 0.0) for j in ones) <= rhs + 1e-9 for coefs, rhs in leader_rows)
+
+
+def _rounding_ground_set(x_star: Sequence[float], leader_rows) -> List[int]:
+    """S2: interdict the items at 1 in x*, then keep interdicting the largest
+    x*_i (ties to the lower id) while the leader rows allow; what stays
+    uninterdicted is the ground set."""
+    n = len(x_star)
+    ones = [i for i in range(n) if x_star[i] >= 1.0 - INT_TOL]
+    while True:
+        cands = [
+            i for i in range(n) if i not in ones and _leader_feasible(ones + [i], leader_rows)
+        ]
+        if not cands:
+            break
+        ones.append(max(cands, key=lambda i: (x_star[i], -i)))
+    return [i for i in range(n) if i not in ones]
 
 
 def fractional_candidate(
@@ -177,34 +163,10 @@ def fractional_candidate(
 ) -> Tuple[frozenset, Tuple[int, ...]]:
     """Heuristic generating set and ordering for a fractional leader point."""
     n = oracle.n
-    if strategy == "S1":
-        ground = [i for i in range(n) if x_star[i] <= INT_TOL]
-        s_hat, order = follower.greedy(oracle, ground, knapsacks=knapsacks)
-        if cut_family == "improved":
-            s_hat, order = follower.greedy(oracle, range(n), s_hat, order, knapsacks)
-        return s_hat, order
-    if strategy == "S2":
-        x_prime = [1.0 if x_star[i] >= 1.0 - INT_TOL else 0.0 for i in range(n)]
-        while True:
-            cands = [
-                i
-                for i in range(n)
-                if x_prime[i] == 0.0 and _leader_feasible_add(x_prime, i, leader_rows)
-            ]
-            if not cands:
-                break
-            pick = max(cands, key=lambda i: (x_star[i], -i))
-            x_prime[pick] = 1.0
-        ground = [i for i in range(n) if x_prime[i] == 0.0]
-        s_hat, order = follower.greedy(oracle, ground, knapsacks=knapsacks)
-        if cut_family == "improved":
-            s_hat, order = follower.greedy(oracle, range(n), s_hat, order, knapsacks)
-        return s_hat, order
     if strategy == "S3":
         rho0 = oracle.rho_empty()
         ev = oracle.scratch()
         weight = np.zeros(knapsacks.L)
-        caps = np.asarray(knapsacks.caps)
         chosen: List[int] = []
         members: set = set()
         while True:
@@ -212,7 +174,7 @@ def fractional_candidate(
             for i in range(n):
                 if i in members:
                     continue
-                if not np.all(weight + knapsacks.item_cost(i) <= caps + 1e-9):
+                if not knapsacks.fits_weight(weight + knapsacks.item_cost(i)):
                     continue
                 g = ev.gain(i)
                 if cut_family == "improved":
@@ -229,7 +191,16 @@ def fractional_candidate(
             weight += knapsacks.item_cost(pick)
             chosen.append(pick)
         return frozenset(members), tuple(chosen)
-    raise ValueError(f"unknown fractional strategy {strategy!r}")
+    if strategy == "S1":
+        ground = [i for i in range(n) if x_star[i] <= INT_TOL]
+    elif strategy == "S2":
+        ground = _rounding_ground_set(x_star, leader_rows)
+    else:
+        raise ValueError(f"unknown fractional strategy {strategy!r}")
+    s_hat, order = follower.greedy(oracle, ground, knapsacks=knapsacks)
+    if cut_family == "improved":
+        s_hat, order = follower.greedy(oracle, range(n), s_hat, order, knapsacks)
+    return s_hat, order
 
 
 def _build_cuts(
@@ -290,30 +261,33 @@ def separate_integer(
     w_star: float,
     x_star: Sequence[float],
     dominating: DominatingLists,
-    rho_full: np.ndarray | None = None,
     phi_cache: Dict[frozenset, Tuple[float, frozenset]] | None = None,
     time_budget: float | None = None,
 ) -> Tuple[List[Cut], Optional[float]]:
-    """Exact separation at a binary leader point.  Returns ([], phi) when no
-    violated cut exists, meaning the candidate is incumbent-acceptable with
-    exactly that defended value; otherwise a violated cut list and, when the
-    follower run happened to be exact, the value alongside."""
+    """Exact separation at a binary leader point: one follower solve, which
+    under E runs only when greedy finds no violated cut, and then in cutoff
+    mode at w*.  Returns ([], phi) when no violated cut exists, meaning the
+    candidate is incumbent-acceptable with exactly that defended value;
+    otherwise a violated cut list and, when the follower run happened to be
+    exact, the value alongside."""
     avail = frozenset(i for i in range(oracle.n) if x_star[i] <= INT_TOL)
     phi_val: Optional[float] = None
     s_hat: Optional[frozenset] = None
     cached = phi_cache.get(avail) if phi_cache is not None else None
     if cached is not None:
-        phi_val, cached_set = cached
+        phi_val, s_hat = cached
         if phi_val <= w_star + VIOL_TOL:
             return [], phi_val
-        s_hat = cached_set
-    elif config.enable_enhanced_int_sep:
-        greedy_set, _ = follower.greedy(oracle, avail, knapsacks=knapsacks)
-        if oracle.value(greedy_set) > w_star + VIOL_TOL:
-            s_hat = greedy_set
-        else:
+    else:
+        enhanced = config.enable_enhanced_int_sep
+        if enhanced:
+            greedy_set, _ = follower.greedy(oracle, avail, knapsacks=knapsacks)
+            if oracle.value(greedy_set) > w_star + VIOL_TOL:
+                s_hat = greedy_set
+        if s_hat is None:
             res = follower.solve_sep(
-                oracle, avail, knapsacks, cutoff=w_star, time_budget=time_budget, rho_full=rho_full
+                oracle, avail, knapsacks,
+                cutoff=w_star if enhanced else None, time_budget=time_budget,
             )
             if res.status == follower.TIMED_OUT:
                 raise FollowerTimeout("integer separation timed out")
@@ -324,18 +298,6 @@ def separate_integer(
                 if res.value <= w_star + VIOL_TOL:
                     return [], res.value
             s_hat = res.items
-    else:
-        res = follower.solve_sep(
-            oracle, avail, knapsacks, time_budget=time_budget, rho_full=rho_full
-        )
-        if res.status == follower.TIMED_OUT:
-            raise FollowerTimeout("integer separation timed out")
-        phi_val = res.value
-        if phi_cache is not None:
-            phi_cache[avail] = (res.value, res.items)
-        if res.value <= w_star + VIOL_TOL:
-            return [], res.value
-        s_hat = res.items
     ordering = cutgen.default_ordering(oracle, s_hat)
     built = _build_cuts(
         oracle, knapsacks, config, s_hat, ordering, x_star, dominating, with_alternative=False
@@ -363,7 +325,6 @@ class InterdictionSolver:
         self.leader_rows = instance.leader_rows()
         need_lists = config.enable_lift or config.enable_dominance
         self.dominating = instance.dominating_lists() if need_lists else DominatingLists.empty()
-        self.rho_full = oracle.rho_full_complement()
         self.phi_cache: Dict[frozenset, Tuple[float, frozenset]] = {}
         self.cut_counts = {f: 0 for f in (cutgen.BASIC, cutgen.IMPROVED, cutgen.LIFTED, cutgen.ALTERNATIVE)}
         self.events: List[Dict[str, object]] = []
@@ -508,7 +469,6 @@ class InterdictionSolver:
                         w_star,
                         x_hat,
                         self.dominating,
-                        rho_full=self.rho_full,
                         phi_cache=self.phi_cache,
                         time_budget=remaining(),
                     )
@@ -516,12 +476,12 @@ class InterdictionSolver:
                         added = sum(self._add_cut(c) for c in built)
                         if added:
                             continue
-                        # violated cuts all duplicated existing rows: fall back
-                        # to the exact defended value and accept
-                        phi_val = follower.phi(
-                            self.oracle, x_hat, self.knapsacks,
-                            time_budget=remaining(), rho_full=self.rho_full,
-                        )
+                        # violated cuts all duplicated existing rows: accept
+                        # at the exact defended value
+                        if phi_val is None:
+                            phi_val = follower.phi(
+                                self.oracle, x_hat, self.knapsacks, time_budget=remaining()
+                            )
                     incumbent = (phi_val, tuple(int(v) for v in x_hat))
                     break
                 if not frac_done:
@@ -543,7 +503,8 @@ class InterdictionSolver:
                 for val in (0, 1):
                     fixings = dict(node.fixings)
                     fixings[pick] = val
-                    if val == 1 and not self._ones_feasible(fixings):
+                    ones = [j for j, v in fixings.items() if v == 1]
+                    if val == 1 and not _leader_feasible(ones, self.leader_rows):
                         continue
                     children.append((bound, fixings))
                 break
@@ -551,13 +512,6 @@ class InterdictionSolver:
         finally:
             for j in node.fixings:
                 model.unfix_var(self.xcol[j])
-
-    def _ones_feasible(self, fixings: Dict[int, int]) -> bool:
-        ones = [j for j, v in fixings.items() if v == 1]
-        for coefs, rhs in self.leader_rows:
-            if sum(coefs.get(j, 0.0) for j in ones) > rhs + 1e-9:
-                return False
-        return True
 
 
 def solve(instance, oracle: SubmodularOracle, config: SolverConfig) -> SolveResult:

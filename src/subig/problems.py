@@ -156,10 +156,6 @@ class _CoverageEvaluator(Evaluator):
     def value(self) -> float:
         return float(self._total)
 
-    @value.setter
-    def value(self, v):  # base-class init compatibility
-        pass
-
     def add(self, i):
         if i in self.members:
             return
@@ -215,15 +211,6 @@ class _ActivationEvaluator(Evaluator):
     def __init__(self, oracle: ActivationOracle):
         super().__init__(oracle)
         self._survive = np.ones(oracle.targets)
-        self._total = 0.0
-
-    @property
-    def value(self) -> float:
-        return self._total
-
-    @value.setter
-    def value(self, v):
-        pass
 
     def _recompute(self, j: int) -> None:
         prod = 1.0
@@ -232,7 +219,7 @@ class _ActivationEvaluator(Evaluator):
                 prod *= 1.0 - self._oracle.probs[i]
         old = self._survive[j]
         self._survive[j] = prod
-        self._total += old - prod
+        self._value += old - prod
 
     def add(self, i):
         if i in self.members:
@@ -256,14 +243,6 @@ class _ActivationEvaluator(Evaluator):
         for j in self._oracle.neighbors[i]:
             g += self._survive[j] * p
         return float(g)
-
-
-def wmcig_oracle(inst: WmcigInstance) -> CoverageOracle:
-    return CoverageOracle(inst)
-
-
-def biig_oracle(inst: BiigInstance) -> ActivationOracle:
-    return ActivationOracle(inst)
 
 
 def wmcig_superiority(inst: WmcigInstance) -> DominatingLists:
@@ -395,42 +374,71 @@ def load_instance(path: str):
 
 
 def parse_instance(text: str, name: str = "instance"):
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+    """Read the format ``dump_instance`` writes.  Malformed input raises a
+    ValueError that names the 1-based line at fault."""
+    rows = [
+        (no, ln.split())
+        for no, ln in enumerate(text.splitlines(), 1)
+        if ln.strip() and not ln.lstrip().startswith("#")
+    ]
+    if not rows:
         raise ValueError("empty instance file")
-    head = lines[0].split()
-    kind = head[0].upper()
-    n, m, B, k = (int(v) for v in head[1:5])
-    if kind == "WMCIG":
-        if not lines[1].startswith("P"):
-            raise ValueError("missing profit line")
-        profits = tuple(int(v) for v in lines[1].split()[1:])
-        if len(profits) != m:
-            raise ValueError("profit count mismatch")
-        cover: List[frozenset] = [frozenset()] * n
-        for ln in lines[2 : 2 + n]:
-            parts = ln.split()
-            if parts[0] != "C":
-                raise ValueError(f"expected coverage line, got {ln!r}")
-            i, deg = int(parts[1]), int(parts[2])
-            js = frozenset(int(v) for v in parts[3 : 3 + deg])
-            if len(js) != deg:
-                raise ValueError(f"coverage line for {i} has wrong count")
-            cover[i] = js
-        return WmcigInstance(profits=profits, cover=tuple(cover), B=B, k=k, name=name)
-    if kind == "BIIG":
-        probs = tuple(float(v) for v in lines[1].split()[1:])
-        if len(probs) != n:
-            raise ValueError("probability count mismatch")
-        count = int(lines[2].split()[1])
-        arcs = tuple(
-            (int(a), int(b)) for a, b in (ln.split() for ln in lines[3 : 3 + count])
-        )
-        if len(arcs) != count:
-            raise ValueError("arc count mismatch")
-        return BiigInstance(probs=probs, targets=m, arcs=arcs, B=B, k=k, name=name)
-    raise ValueError(f"unknown instance header {kind!r}")
+    pending = iter(rows)
+
+    def take(what: str, tag: str | None, number=int, count: int | None = None) -> Tuple[int, list]:
+        """The next line as (line number, numbers): the ``tag`` word, if
+        any, must lead it, and ``count``, if given, numbers must follow."""
+        no, toks = next(pending, (rows[-1][0], None))
+        if toks is None:
+            raise ValueError(f"line {no}: file ends before the {what}")
+        if tag is not None:
+            if toks[0] != tag:
+                raise ValueError(f"line {no}: expected the {what}, starting with {tag!r}")
+            toks = toks[1:]
+        try:
+            vals = [number(t) for t in toks]
+        except ValueError:
+            raise ValueError(f"line {no}: the {what} holds a non-{number.__name__} value") from None
+        if count is not None and len(vals) != count:
+            raise ValueError(f"line {no}: the {what} has {len(vals)} numbers, expected {count}")
+        return no, vals
+
+    head = rows[0][1][0]
+    if head.upper() not in ("WMCIG", "BIIG"):
+        raise ValueError(f"line {rows[0][0]}: unknown instance header {head!r}")
+    _, (n, m, B, k) = take("header", head, count=4)
+    if head.upper() == "WMCIG":
+        _, profits = take("profit line", "P", count=m)
+        cover: List[frozenset | None] = [None] * n
+        for _ in range(n):
+            no, vals = take("coverage line", "C")
+            if len(vals) < 2 or len(vals) != 2 + vals[1]:
+                raise ValueError(f"line {no}: a coverage line reads 'C i d' and then d customers")
+            i, js = vals[0], vals[2:]
+            if not 0 <= i < n:
+                raise ValueError(f"line {no}: site {i} outside 0..{n - 1}")
+            if cover[i] is not None:
+                raise ValueError(f"line {no}: second coverage line for site {i}")
+            if len(set(js)) != len(js) or not all(0 <= j < m for j in js):
+                raise ValueError(f"line {no}: customers must be distinct ids in 0..{m - 1}")
+            cover[i] = frozenset(js)
+        inst = WmcigInstance(profits=tuple(profits), cover=tuple(cover), B=B, k=k, name=name)
+    else:
+        _, probs = take("probability line", "P", float, count=n)
+        no, (count,) = take("arc count line", "A", count=1)
+        if count < 0:
+            raise ValueError(f"line {no}: negative arc count")
+        arcs = []
+        for _ in range(count):
+            no, (i, j) = take("arc list", None, count=2)
+            if not (0 <= i < n and 0 <= j < m):
+                raise ValueError(f"line {no}: arc ({i},{j}) outside {n} items x {m} targets")
+            arcs.append((i, j))
+        inst = BiigInstance(probs=tuple(probs), targets=m, arcs=tuple(arcs), B=B, k=k, name=name)
+    extra = next(pending, None)
+    if extra is not None:
+        raise ValueError(f"line {extra[0]}: unexpected line after the instance")
+    return inst
 
 
 def export_miblp(inst: WmcigInstance) -> Tuple[str, str]:

@@ -1,6 +1,8 @@
 import csv
 import io
 
+import pytest
+
 from subig import cli, problems
 from subig.cli import RUN_COLUMNS, RunRecord
 
@@ -93,3 +95,16 @@ def test_export_miblp_cli(tmp_path, cover_example):
 def test_missing_file_exits_1(tmp_path, capsys):
     rc = cli.main(["solve", str(tmp_path / "nope.wmcig"), "--setting", "B-S1"])
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("WMCIG 3 4 2 1\n", 1), ("WMCIG 2 2 1 1\nP 5 9\nC 0 1 0\nC 0 1 1\n", 4)],
+)
+def test_malformed_instance_exits_2(tmp_path, capsys, text, line):
+    path = tmp_path / "bad.wmcig"
+    path.write_text(text)
+    assert cli.main(["solve", str(path), "--setting", "B-S1"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: line {line}: " in err
+    assert "Traceback" not in err

@@ -31,32 +31,32 @@ def test_evaluate_examples(cover_example, bipartite_example):
 def test_evaluate_rejects_bad_ids(cover_example):
     orc = cover_example.oracle()
     with pytest.raises(ValueError):
-        core.evaluate(orc, {0, 5})
+        orc.value({0, 5})
     with pytest.raises(ValueError):
-        core.marginal_gain(orc, {0}, -1)
+        orc.gain({0}, -1)
 
 
 def test_marginal_gain_examples(cover_example, bipartite_example):
     worc = cover_example.oracle()
     borc = bipartite_example.oracle()
-    assert core.marginal_gain(borc, {2}, 1) == pytest.approx(0.8, abs=1e-12)
-    assert core.marginal_gain(worc, {0, 1}, 0) == 0.0  # member: zero by definition
-    assert core.marginal_gain(worc, {0, 1}, 2) == 4.0
+    assert borc.gain({2}, 1) == pytest.approx(0.8, abs=1e-12)
+    assert worc.gain({0, 1}, 0) == 0.0  # member: zero by definition
+    assert worc.gain({0, 1}, 2) == 4.0
 
 
 def test_rho_maps(cover_example, bipartite_example):
     borc = bipartite_example.oracle()
-    assert core.rho_empty_all(borc) == pytest.approx({0: 0.3, 1: 1.0, 2: 0.8}, abs=1e-12)
+    assert borc.rho_empty().tolist() == pytest.approx([0.3, 1.0, 0.8], abs=1e-12)
     worc = cover_example.oracle()
-    assert core.rho_empty_all(worc) == {0: 11.0, 1: 14.0, 2: 15.0}
+    assert worc.rho_empty().tolist() == [11.0, 14.0, 15.0]
     weights = (2.0, 0.0, 7.5)
     mod = ModularOracle(weights)
-    assert core.rho_empty_all(mod) == dict(enumerate(weights))
-    assert core.rho_full_complement_all(mod) == dict(enumerate(weights))
+    assert mod.rho_empty().tolist() == list(weights)
+    assert mod.rho_full_complement().tolist() == list(weights)
     # complement gains never exceed empty-set gains and stay non-negative
     for orc in (worc, borc):
-        r0 = core.rho_empty_all(orc)
-        rf = core.rho_full_complement_all(orc)
+        r0 = orc.rho_empty()
+        rf = orc.rho_full_complement()
         for i in range(orc.n):
             assert -1e-12 <= rf[i] <= r0[i] + 1e-12
 

@@ -93,21 +93,6 @@ def test_phi_examples(cover_example, bipartite_example):
         follower.phi(worc, [0.5, 0, 0], cover_example.knapsacks())
 
 
-def test_enhanced_integer_separation(cover_example, bipartite_example):
-    worc = cover_example.oracle()
-    knap = cover_example.knapsacks()
-    got = follower.enhanced_integer_separation(worc, 10.0, [0, 1, 0], knap)
-    assert got == {0, 2}
-    assert worc.value(got) == 15.0
-
-    phi_val = follower.phi(worc, [0, 1, 0], knap)
-    assert follower.enhanced_integer_separation(worc, phi_val, [0, 1, 0], knap) == frozenset()
-
-    borc = bipartite_example.oracle()
-    got = follower.enhanced_integer_separation(borc, 0.5, [0, 1, 0], bipartite_example.knapsacks())
-    assert borc.value(got) == pytest.approx(0.98, abs=1e-9)
-
-
 def test_sep_matches_brute_force_on_random_instances():
     rng = np.random.default_rng(3)
     for trial in range(30):
@@ -158,3 +143,32 @@ def test_greedy_value_within_classical_band():
         val = orc.value(s)
         assert val <= opt + 1e-9
         assert val >= (1.0 - 1.0 / np.e) * opt - 1e-9
+
+
+def test_two_row_knapsack_with_non_unit_costs():
+    rng = np.random.default_rng(11)
+    for trial in range(8):
+        if trial % 2 == 0:
+            orc = gen_wmcig(9, 2, 0.2, 500 + trial).oracle()
+        else:
+            orc = gen_biig(9, 2, 3, 2, 0.25, 500 + trial).oracle()
+        n = orc.n
+        costs = tuple(tuple(float(c) / 4 for c in rng.integers(1, 20, n)) for _ in range(2))
+        caps = tuple(0.35 * sum(row) for row in costs)
+        knap = KnapsackSystem(costs=costs, caps=caps)
+
+        items = rng.choice(n, size=4, replace=False).tolist()
+        hand = [sum(row[i] for i in items) for row in costs]
+        assert knap.weight(items).tolist() == pytest.approx(hand, abs=1e-12)
+        assert knap.fits(items) == all(h <= c + 1e-9 for h, c in zip(hand, caps))
+        for i, j in itertools.product(range(n), repeat=2):
+            assert knap.cost_le(i, j) == all(row[i] <= row[j] for row in costs)
+
+        avail = [i for i in range(n) if rng.random() < 0.8]
+        res = follower.solve_sep(orc, avail, knap)
+        assert res.status == OPTIMAL
+        assert res.value == pytest.approx(brute_force_phi(orc, avail, knap), abs=1e-9)
+        assert knap.fits(res.items)
+        s, _ = follower.greedy(orc, avail, knapsacks=knap)
+        assert knap.fits(s)
+    assert not knap.item_cost(0).flags.writeable

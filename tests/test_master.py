@@ -68,6 +68,39 @@ def test_separate_integer_enhanced_uses_greedy(cover_example):
     assert phi_val is None  # greedy shortcut skips the exact solve
 
 
+def test_separate_integer_enhanced_paths(cover_example, bipartite_example):
+    """The E paths beyond the greedy shortcut of the test above."""
+    worc = cover_example.oracle()
+    knap = cover_example.knapsacks()
+    none = DominatingLists.empty()
+    # no violated cut at w* = phi: the cutoff solve runs to optimality
+    phi_val = follower.phi(worc, [0, 1, 0], knap)
+    built, got = master.separate_integer(worc, knap, cfg("IE-S1"), phi_val, [0, 1, 0], none)
+    assert built == [] and got == phi_val
+
+    # the BIIG example: greedy over {0, 2} already beats w* = 0.5
+    borc = bipartite_example.oracle()
+    built, _ = master.separate_integer(
+        borc, bipartite_example.knapsacks(), cfg("IE-S1"), 0.5, [0, 1, 0], none
+    )
+    assert borc.value(built[0].source_set) == pytest.approx(0.98, abs=1e-9)
+
+    # greedy stops at 8 < w* = 9 < phi = 10: the cutoff solve finds the cut
+    trap = WmcigInstance(
+        profits=(2, 3, 3, 2),
+        cover=(frozenset({0, 1}), frozenset({2, 3}), frozenset({1, 2})),
+        B=2,
+        k=1,
+    )
+    torc = trap.oracle()
+    greedy_set, _ = follower.greedy(torc, range(3), knapsacks=trap.knapsacks())
+    assert torc.value(greedy_set) == 8.0
+    built, _ = master.separate_integer(
+        torc, trap.knapsacks(), cfg("IE-S1"), 9.0, [0, 0, 0], none
+    )
+    assert built[0].source_set == {0, 1} and built[0].c0 == 10.0
+
+
 def test_fractional_candidate_s1(cover_example):
     worc = cover_example.oracle()
     s, order = master.fractional_candidate(
@@ -166,12 +199,6 @@ def test_config_setting_roundtrip():
         SolverConfig.from_setting("XQ-S9")
     with pytest.raises(ValueError):
         SolverConfig.from_setting("LID-S1")
-
-
-def test_config_text_roundtrip():
-    config = cfg("ILD-S2", time_limit=12.5, node_limit=77, seed=9)
-    back = SolverConfig.from_text(config.to_text())
-    assert back == config
 
 
 def test_bounds_monotone_over_run():

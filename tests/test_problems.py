@@ -131,6 +131,25 @@ def test_parse_rejects_garbage():
         parse_instance("")
 
 
+MALFORMED = {
+    "wmcig header only": ("WMCIG 3 4 2 1\n", 1),
+    "biig header only": ("BIIG 3 4 2 1\n", 1),
+    "repeated site": ("WMCIG 2 2 1 1\nP 5 9\nC 0 1 0\nC 0 1 1\n", 4),
+    "site past n": ("WMCIG 2 2 1 1\nP 5 9\nC 0 1 0\nC 2 1 1\n", 4),
+    "negative site": ("WMCIG 2 2 1 1\nP 5 9\nC -1 1 0\nC 0 1 1\n", 3),
+    "missing profit line": ("WMCIG 2 2 1 1\nC 0 1 0\nC 1 1 1\n", 2),
+    "missing arc count line": ("BIIG 2 2 1 1\nP 0.5 0.5\n0 1\n", 3),
+    "short arc list": ("# gen\nBIIG 2 2 1 1\nP 0.5 0.5\nA 3\n0 0\n\n1 1\n", 7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_parse_names_the_line_at_fault(case):
+    text, line = MALFORMED[case]
+    with pytest.raises(ValueError, match=rf"^line {line}: "):
+        parse_instance(text)
+
+
 def test_export_miblp_row_counts(cover_example):
     model_text, aux_text = export_miblp(cover_example)
     rows, rhs, obj = parse_miblp(model_text)
