@@ -114,15 +114,12 @@ def make_record(instance, setting: str, result: master.SolveResult) -> RunRecord
 
 
 def _parse_config(args) -> master.SolverConfig:
-    setting = args.setting
-    if "-S" not in setting:
-        setting = f"{setting}-{args.frac_sep}"
     overrides = {}
     if args.time_limit is not None:
         overrides["time_limit"] = args.time_limit
     if args.node_limit is not None:
         overrides["node_limit"] = args.node_limit
-    return master.SolverConfig.from_setting(setting, **overrides)
+    return master.SolverConfig.from_setting(args.setting, **overrides)
 
 
 def cmd_generate(args) -> int:
@@ -179,17 +176,21 @@ def cmd_bench(args) -> int:
     paths: List[str] = []
     configs: List[master.SolverConfig] = []
     with open(args.manifest, encoding="utf-8") as fh:
-        for ln in fh:
+        for lineno, ln in enumerate(fh, 1):
             ln = ln.strip()
             if not ln or ln.startswith("#"):
                 continue
             parts = ln.split()
             if len(parts) != 2:
-                raise SystemExit(f"bad manifest line: {ln!r}")
+                raise ValueError(f"line {lineno}: expected '<path> <setting>', got {ln!r}")
+            try:
+                config = master.SolverConfig.from_setting(
+                    parts[1], time_limit=args.time_limit, node_limit=args.node_limit
+                )
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             paths.append(parts[0])
-            configs.append(master.SolverConfig.from_setting(
-                parts[1], time_limit=args.time_limit, node_limit=args.node_limit
-            ))
+            configs.append(config)
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             records = list(pool.map(_solve_one, paths, configs))
@@ -237,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_solver_flags(p):
         p.add_argument("--setting", default="ILDAE-S1")
-        p.add_argument("--frac-sep", default="S1", choices=["S1", "S2", "S3"], dest="frac_sep")
         p.add_argument("--time-limit", type=float, default=None, dest="time_limit")
         p.add_argument("--node-limit", type=int, default=None, dest="node_limit")
 

@@ -117,14 +117,6 @@ class LpModel:
         return "\n".join(out) + "\n"
 
 
-def _start_value(lb: float, ub: float) -> Tuple[float, int]:
-    if np.isfinite(lb):
-        return lb, _AT_LB
-    if np.isfinite(ub):
-        return ub, _AT_UB
-    return 0.0, _AT_LB
-
-
 def solve_lp(model: LpModel) -> LpResult:
     n = model.n_vars
     m = model.n_rows
@@ -135,56 +127,34 @@ def solve_lp(model: LpModel) -> LpResult:
     if np.any(lb > ub + 1e-12):
         return LpResult(INFEASIBLE, np.zeros(n), 0.0)
 
-    if m == 0:
-        x = np.empty(n)
-        for j in range(n):
-            if c_struct[j] > 0:
-                x[j] = lb[j]
-            elif c_struct[j] < 0:
-                x[j] = ub[j]
-            else:
-                x[j], _ = _start_value(lb[j], ub[j])
-            if not np.isfinite(x[j]):
-                return LpResult(UNBOUNDED, np.zeros(n), -np.inf * sign)
-        return LpResult(OPTIMAL, x, sign * float(c_struct @ x))
+    # nonbasic start: the finite lower bound, else the finite upper, else 0
+    x_struct = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
+    stat_struct = np.where(~np.isfinite(lb) & np.isfinite(ub), _AT_UB, _AT_LB)
 
-    # columns: structurals, then one slack per row, then artificials as needed
+    # columns: structurals, then one slack per row, then one artificial per
+    # row whose slack starts negative (parked at 0 and covered by it)
     A = np.zeros((m, n + m))
     for r, coefs in enumerate(model.rows):
         for j, cj in coefs.items():
             A[r, j] = cj
         A[r, n + r] = 1.0
     b = np.asarray(model.rhs, dtype=float)
-    low = np.concatenate([lb, np.zeros(m)])
-    up = np.concatenate([ub, np.full(m, np.inf)])
+    slack = b - A[:, :n] @ x_struct
+    short = np.flatnonzero(slack < 0)
+    art = np.zeros((m, short.size))
+    art[short, np.arange(short.size)] = -1.0
+    A = np.hstack([A, art])
+    total = A.shape[1]
+    art_cols = np.arange(n + m, total)
+    low = np.concatenate([lb, np.zeros(total - n)])
+    up = np.concatenate([ub, np.full(total - n, np.inf)])
+    x = np.concatenate([x_struct, np.where(slack >= 0, slack, 0.0), -slack[short]])
+    stat = np.concatenate([stat_struct, np.full(m + short.size, _AT_LB)])
+    basis = np.arange(n, n + m)
+    basis[short] = art_cols
 
-    x = np.empty(n + m)
-    stat = np.empty(n + m, dtype=int)
-    for j in range(n):
-        x[j], stat[j] = _start_value(lb[j], ub[j])
-    act = A[:, :n] @ x[:n]
-    slack = b - act
-    basis = list(range(n, n + m))
-    art_cols: List[int] = []
-    for r in range(m):
-        if slack[r] >= 0:
-            x[n + r] = slack[r]
-        else:
-            # slack starts infeasible: park it at 0 and cover with an artificial
-            x[n + r] = 0.0
-            stat[n + r] = _AT_LB
-            col = np.zeros((m, 1))
-            col[r, 0] = -1.0
-            A = np.hstack([A, col])
-            low = np.append(low, 0.0)
-            up = np.append(up, np.inf)
-            x = np.append(x, -slack[r])
-            stat = np.append(stat, _AT_LB)
-            art_cols.append(A.shape[1] - 1)
-            basis[r] = A.shape[1] - 1
-
-    if art_cols:
-        c1 = np.zeros(A.shape[1])
+    if art_cols.size:
+        c1 = np.zeros(total)
         c1[art_cols] = 1.0
         status = _simplex(A, b, low, up, c1, basis, x, stat)
         if status != OPTIMAL:
@@ -194,7 +164,7 @@ def solve_lp(model: LpModel) -> LpResult:
         up[art_cols] = 0.0  # pin artificials for phase 2
         x[art_cols] = np.maximum(x[art_cols], 0.0)
 
-    c2 = np.zeros(A.shape[1])
+    c2 = np.zeros(total)
     c2[:n] = c_struct
     status = _simplex(A, b, low, up, c2, basis, x, stat)
     if status == UNBOUNDED:
@@ -205,9 +175,11 @@ def solve_lp(model: LpModel) -> LpResult:
 
 def _simplex(A, b, low, up, c, basis, x, stat) -> str:
     """In-place bounded-variable simplex over equalities A v = b."""
-    m, total = A.shape
+    total = A.shape[1]
     in_basis = np.zeros(total, dtype=bool)
     in_basis[basis] = True
+    movable = low != up
+    free = np.isinf(low) & np.isinf(up)
     degenerate = 0
     bland = False
     d_tol = OPT_TOL * max(1.0, float(np.max(np.abs(c))) if total else 1.0)
@@ -226,62 +198,49 @@ def _simplex(A, b, low, up, c, basis, x, stat) -> str:
         pi = lu_solve(lu, c[basis], trans=1)
         d = c - A.T @ pi
 
-        enter = -1
-        best = 0.0
-        for j in range(total):
-            if in_basis[j] or low[j] == up[j]:
-                continue
-            dj = d[j]
-            if stat[j] == _AT_LB and dj < -d_tol:
-                viol = -dj
-            elif stat[j] == _AT_UB and dj > d_tol:
-                viol = dj
-            else:
-                continue
-            if bland:
-                enter = j
-                break
-            if viol > best + 1e-15:
-                best = viol
-                enter = j
-        if enter < 0:
+        # pricing: a nonbasic column improves by rising off its lower bound
+        # or falling off its upper one; a free column may move either way
+        rise = ((stat == _AT_LB) | free) & (d < -d_tol)
+        fall = ((stat == _AT_UB) | free) & (d > d_tol)
+        cand = np.flatnonzero(nb & movable & (rise | fall))
+        if cand.size == 0:
             return OPTIMAL
+        if bland:
+            enter = int(cand[0])
+        else:
+            # Dantzig with a running best that needs a 1e-15 gain to move;
+            # only a column above every earlier one can pass that test
+            viol = np.abs(d[cand])
+            record = viol > np.maximum.accumulate(np.concatenate(([0.0], viol[:-1])))
+            enter, best = -1, 0.0
+            for j, v in zip(cand[record].tolist(), viol[record].tolist()):
+                if v > best + 1e-15:
+                    enter, best = j, v
 
-        direction = 1.0 if stat[enter] == _AT_LB else -1.0
+        direction = 1.0 if d[enter] < 0 else -1.0
         w = lu_solve(lu, A[:, enter])
         delta = -direction * w  # change of basic values per unit step
 
+        # ratio test over the basic variables that move toward a finite bound
         t_limit = up[enter] - low[enter]
-        ratios = []  # (t, p, hit bound, |pivot|)
-        for p in range(m):
-            q = basis[p]
-            dp = delta[p]
-            if dp > PIVOT_TOL:
-                room = up[q] - x[q]
-                if not np.isfinite(room):
-                    continue
-                ratios.append((max(room, 0.0) / dp, p, _AT_UB, dp))
-            elif dp < -PIVOT_TOL:
-                room = x[q] - low[q]
-                if not np.isfinite(room):
-                    continue
-                ratios.append((max(room, 0.0) / (-dp), p, _AT_LB, -dp))
-        t_basic = min((r[0] for r in ratios), default=np.inf)
+        xb = x[basis]
+        room = np.where(delta > 0, up[basis] - xb, xb - low[basis])
+        pos = np.flatnonzero((np.abs(delta) > PIVOT_TOL) & np.isfinite(room))
+        piv = np.abs(delta[pos])
+        ratio = np.where(room[pos] < 0.0, 0.0, room[pos]) / piv
+        t_basic = float(ratio.min()) if pos.size else np.inf
         t_best = min(t_limit, t_basic)
         if not np.isfinite(t_best):
             return UNBOUNDED
         leave_pos = -1
-        leave_stat = _AT_LB
         if t_basic <= t_limit:
-            tied = [r for r in ratios if r[0] <= t_basic + 1e-12]
-            if bland:
-                # anti-cycling: leave the smallest variable index among ties
-                _, leave_pos, leave_stat, _ = min(tied, key=lambda r: basis[r[1]])
-            else:
-                # stability: largest pivot magnitude, then smallest index
-                _, leave_pos, leave_stat, _ = min(
-                    tied, key=lambda r: (-r[3], basis[r[1]])
-                )
+            tied = ratio <= t_basic + 1e-12
+            pos, piv = pos[tied], piv[tied]
+            if not bland:
+                # stability: largest pivot magnitude first
+                pos = pos[piv == piv.max()]
+            # then the smallest variable index (Bland's anti-cycling rule)
+            leave_pos = int(pos[np.argmin(basis[pos])])
             t_best = t_basic
 
         if t_best < 1e-10:
@@ -292,11 +251,12 @@ def _simplex(A, b, low, up, c, basis, x, stat) -> str:
         x[basis] += delta * t_best
         if leave_pos < 0:
             # no basic ratio beat the entering variable's own range: bound flip
-            x[enter] = up[enter] if stat[enter] == _AT_LB else low[enter]
-            stat[enter] = _AT_UB if stat[enter] == _AT_LB else _AT_LB
+            x[enter] = up[enter] if direction > 0 else low[enter]
+            stat[enter] = _AT_UB if direction > 0 else _AT_LB
             continue
-        x[enter] = (low[enter] + t_best) if direction > 0 else (up[enter] - t_best)
+        x[enter] += direction * t_best
         out = basis[leave_pos]
+        leave_stat = _AT_UB if delta[leave_pos] > 0 else _AT_LB
         x[out] = up[out] if leave_stat == _AT_UB else low[out]
         stat[out] = leave_stat
         in_basis[out] = False

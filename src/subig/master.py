@@ -27,6 +27,7 @@ from .lp import LpModel, solve_lp, INFEASIBLE
 
 INT_TOL = 1e-6
 VIOL_TOL = 1e-6
+FRAC_VIOLATION_THRESHOLD = 0.01  # relative violation a fractional cut must exceed
 
 STATUS_OPTIMAL = "optimal"
 STATUS_TIME = "time_limit"
@@ -43,7 +44,6 @@ class SolverConfig:
     enable_alternative: bool = False
     enable_enhanced_int_sep: bool = False
     frac_strategy: str = "S1"
-    frac_violation_threshold: float = 0.01
     time_limit: float = 3600.0
     node_limit: Optional[int] = None
 
@@ -52,8 +52,6 @@ class SolverConfig:
             raise ValueError("cut_family must be 'basic' or 'improved'")
         if self.frac_strategy not in ("S1", "S2", "S3"):
             raise ValueError("frac_strategy must be one of S1, S2, S3")
-        if self.frac_violation_threshold < 0:
-            raise ValueError("violation threshold must be non-negative")
 
     @classmethod
     def from_setting(cls, setting: str, **overrides) -> "SolverConfig":
@@ -250,7 +248,7 @@ def separate_fractional(
     return [
         c
         for c in built
-        if cutgen.relative_violation(c, w_star, x_star) > config.frac_violation_threshold
+        if cutgen.relative_violation(c, w_star, x_star) > FRAC_VIOLATION_THRESHOLD
     ]
 
 

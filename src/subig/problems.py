@@ -69,9 +69,6 @@ class WmcigInstance:
     def dominating_lists(self) -> DominatingLists:
         return wmcig_superiority(self)
 
-    def params(self) -> Dict[str, object]:
-        return {"n": self.n, "m": self.m, "B": self.B, "k": self.k}
-
 
 @dataclass(frozen=True)
 class BiigInstance:
@@ -125,9 +122,6 @@ class BiigInstance:
 
     def dominating_lists(self) -> DominatingLists:
         return biig_superiority(self)
-
-    def params(self) -> Dict[str, object]:
-        return {"n": self.n, "m": self.m, "B": self.B, "k": self.k}
 
 
 class CoverageOracle(SubmodularOracle):

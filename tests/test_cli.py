@@ -41,14 +41,6 @@ def test_malformed_setting_exits_2(tmp_path, capsys):
     assert "usage" in err
 
 
-def test_setting_merges_frac_sep_flag(tmp_path, capsys):
-    path = tmp_path / "d.wmcig"
-    cli.main(["generate", "wmcig", "--n", "6", "--r", "1", "--seed", "0", "--out", str(path)])
-    assert cli.main(["solve", str(path), "--setting", "IL", "--frac-sep", "S3"]) == 0
-    out = capsys.readouterr().out
-    assert ",IL-S3," in out
-
-
 def test_bench_manifest_roundtrip(tmp_path):
     paths = []
     for seed in (1, 2):
@@ -108,3 +100,19 @@ def test_malformed_instance_exits_2(tmp_path, capsys, text, line):
     err = capsys.readouterr().err
     assert f"error: line {line}: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [("only-one-token\n", 2), ("{path} B-S1\n{path} XQ-S9\n", 3)],
+)
+def test_malformed_manifest_line_exits_2(tmp_path, capsys, body, line):
+    inst = tmp_path / "g.wmcig"
+    cli.main(["generate", "wmcig", "--n", "6", "--r", "1", "--seed", "0", "--out", str(inst)])
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("# instance setting\n" + body.format(path=inst))
+    out_csv = tmp_path / "bench.csv"
+    assert cli.main(["bench", str(manifest), "--out", str(out_csv)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: line {line}: " in err
+    assert not out_csv.exists()

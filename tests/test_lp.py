@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor
 
-from subig.lp import INFEASIBLE, OPTIMAL, LpModel, solve_lp
+from subig import lp
+from subig.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpModel, solve_lp
 
 
 def test_single_lower_bound_row():
@@ -154,3 +156,113 @@ def test_rowless_model():
     a = m.add_var(0.0, 2.0, obj=-1.0)
     res = solve_lp(m)
     assert res.status == OPTIMAL and res.x[a] == 2.0
+
+
+def test_rowless_free_variable():
+    m = LpModel("min")
+    m.add_var(-np.inf, np.inf, obj=1.0)
+    assert solve_lp(m).status == UNBOUNDED
+    m = LpModel("max")
+    v = m.add_var(-np.inf, 3.0, obj=1.0)
+    res = solve_lp(m)
+    assert res.status == OPTIMAL and res.x[v] == 3.0
+
+
+def _random_lp(rng):
+    """A seeded LP of up to benchmark size: mostly boxed columns plus a few
+    half-bounded, free and fixed ones, and up to 60 sparse rows.  The rows
+    hold at a random point inside the bounds, yet about a third have
+    negative right-hand sides, so phase 1 runs; some repeat at a scale of 2 or 3,
+    which makes bases degenerate; and one LP in five gets a contradictory
+    pair of rows."""
+    n = int(rng.integers(1, 41))
+    lows, ups, point = [], [], []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.75:
+            lo, hi = 0.0, float(rng.integers(1, 4))
+        elif kind < 0.85:
+            lo, hi = -float(rng.integers(0, 3)), float(rng.integers(0, 3))
+        elif kind < 0.93:
+            lo, hi = 0.0, np.inf
+        elif kind < 0.96:
+            lo, hi = -np.inf, np.inf
+        else:
+            lo = hi = float(rng.integers(0, 2))
+        lows.append(lo)
+        ups.append(hi)
+        point.append(rng.uniform(max(lo, -2.0), min(hi, 2.0)))
+    obj = np.round(rng.normal(size=n), 1)
+    rows, rhs = [], []
+    for _ in range(int(rng.integers(1, 61))):
+        k = int(rng.integers(1, min(n, 8) + 1))
+        coefs = np.zeros(n)
+        coefs[rng.choice(n, k, replace=False)] = np.round(rng.normal(size=k), 1)
+        b = np.ceil(10.0 * (coefs @ point + rng.uniform(0.0, 1.0))) / 10.0
+        rows.append(coefs)
+        rhs.append(b)
+        if rng.random() < 0.2:
+            scale = float(rng.integers(2, 4))
+            rows.append(scale * coefs)
+            rhs.append(scale * b)
+    if rng.random() < 0.2:
+        rows.append(-rows[0])
+        rhs.append(-rhs[0] - 0.5)
+    return "min" if rng.random() < 0.5 else "max", obj, lows, ups, np.array(rows), np.array(rhs)
+
+
+def _solve_embedded(sense, obj, lows, ups, rows, rhs):
+    m = LpModel(sense)
+    for j in range(len(obj)):
+        m.add_var(lows[j], ups[j], obj=float(obj[j]))
+    for coefs, b in zip(rows, rhs):
+        m.add_row({j: float(c) for j, c in enumerate(coefs) if c != 0.0}, float(b))
+    return solve_lp(m)
+
+
+_DIFFERENTIAL_LPS = 150
+
+
+def test_against_highs():
+    from scipy.optimize import linprog  # the package itself never loads scipy.optimize
+
+    rng = np.random.default_rng(2021)
+    statuses = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+    seen = set()
+    for _ in range(_DIFFERENTIAL_LPS):
+        sense, obj, lows, ups, rows, rhs = _random_lp(rng)
+        res = _solve_embedded(sense, obj, lows, ups, rows, rhs)
+        sign = 1.0 if sense == "min" else -1.0
+        ref = linprog(sign * obj, A_ub=rows, b_ub=rhs, bounds=list(zip(lows, ups)), method="highs")
+        assert res.status == statuses[ref.status]
+        if res.status == OPTIMAL:
+            assert res.objective == pytest.approx(sign * ref.fun, abs=1e-7)
+        seen.add(res.status)
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_bland_fallback_matches_default(monkeypatch):
+    """Bland's rule from the first degenerate pivot reaches the same status
+    and objective on the differential LPs, through different pivots."""
+    factorizations = []
+
+    def counting_lu_factor(B):
+        factorizations.append(B.shape[0])
+        return lu_factor(B)
+
+    monkeypatch.setattr(lp, "lu_factor", counting_lu_factor)
+
+    def run_all():
+        rng = np.random.default_rng(2021)
+        start = len(factorizations)
+        out = [_solve_embedded(*_random_lp(rng)) for _ in range(_DIFFERENTIAL_LPS)]
+        return out, len(factorizations) - start
+
+    default, default_iters = run_all()
+    monkeypatch.setattr(lp, "DEGENERATE_LIMIT", 1)
+    bland, bland_iters = run_all()
+    assert bland_iters != default_iters  # the fallback took over somewhere
+    for a, b in zip(default, bland):
+        assert a.status == b.status
+        if a.status == OPTIMAL:
+            assert a.objective == pytest.approx(b.objective, abs=1e-7)

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -151,12 +150,6 @@ def test_separate_fractional_examples(cover_example):
     # no violation once w* already matches the candidate bound
     got = master.separate_fractional(
         worc, knap, rows, cfg("I-S1"), dom, 24.0, [0.5, 0.5, 0.5]
-    )
-    assert got == []
-
-    # an infinite threshold suppresses every fractional cut
-    got = master.separate_fractional(
-        worc, knap, rows, cfg("I-S1", frac_violation_threshold=math.inf), dom, 0.0, [0.5, 0.5, 0.5]
     )
     assert got == []
 
