@@ -12,31 +12,17 @@ import dataclasses
 import io
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, get_type_hints
 
 from . import bruteforce, master, problems
 
-RUN_COLUMNS = [
-    "instance",
-    "family",
-    "n",
-    "m",
-    "B",
-    "k",
-    "setting",
-    "time_s",
-    "UB",
-    "LB",
-    "gap_pct",
-    "rgap_pct",
-    "nodes",
-    "sic_total",
-    "sic_basic",
-    "sic_improved",
-    "sic_lifted",
-    "sic_alternative",
-    "status",
-]
+# how a CSV cell is read back for each declared RunRecord field type
+_CELL_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    Optional[float]: lambda cell: float(cell) if cell else None,
+}
 
 
 @dataclasses.dataclass
@@ -75,18 +61,12 @@ class RunRecord:
 
     @classmethod
     def from_row(cls, row: Sequence[str]) -> "RunRecord":
-        kwargs: Dict[str, object] = {}
-        for col, val in zip(RUN_COLUMNS, row):
-            if col in ("n", "m", "B", "k", "nodes", "sic_total", "sic_basic",
-                       "sic_improved", "sic_lifted", "sic_alternative"):
-                kwargs[col] = int(val)
-            elif col in ("time_s", "LB", "gap_pct", "rgap_pct"):
-                kwargs[col] = float(val)
-            elif col == "UB":
-                kwargs[col] = float(val) if val else None
-            else:
-                kwargs[col] = val
+        types = get_type_hints(cls)
+        kwargs = {col: _CELL_PARSERS[types[col]](val) for col, val in zip(RUN_COLUMNS, row)}
         return cls(**kwargs)
+
+
+RUN_COLUMNS = [f.name for f in dataclasses.fields(RunRecord)]
 
 
 def make_record(instance, setting: str, result: master.SolveResult) -> RunRecord:

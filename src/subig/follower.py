@@ -40,14 +40,12 @@ class SepResult:
 def greedy(
     oracle: SubmodularOracle,
     ground_subset: Iterable[int],
+    knapsacks: KnapsackSystem,
     seed_set: Iterable[int] = (),
     seed_order: Sequence[int] = (),
-    knapsacks: KnapsackSystem | None = None,
 ) -> Tuple[frozenset, Tuple[int, ...]]:
     """Repeatedly add the feasible item with the largest value until nothing
     fits; the returned order extends the seed order by appended picks."""
-    if knapsacks is None:
-        raise ValueError("knapsack system required")
     seed = set(seed_set)
     order = list(seed_order) if seed_order else sorted(seed)
     if set(order) != seed or len(order) != len(seed):
@@ -143,10 +141,8 @@ def solve_sep(
         return SepResult(inc_set, inc_val, ub_theta, CUTOFF_EXCEEDED)
 
     model = LpModel("max")
-    ycol = {}
-    for i in items:
-        ycol[i] = model.add_var(0.0, 1.0, obj=0.0, name=f"y{i}")
-    theta = model.add_var(0.0, ub_theta, obj=1.0, name="theta")
+    ycol = {i: model.add_var(0.0, 1.0) for i in items}
+    theta = model.add_var(0.0, ub_theta, obj=1.0)
     caps = knapsacks.caps
     for ell in range(knapsacks.L):
         coefs = {ycol[i]: knapsacks.costs[ell][i] for i in items if knapsacks.costs[ell][i] != 0.0}
@@ -160,14 +156,11 @@ def solve_sep(
         violated at (theta*, y*)."""
         added = 0
         for coefs, rhs in bounding_rows(oracle, items, s_hat, scratch=ev):
-            lhs = theta_star - sum(c * y_star[ycol[i]] for i, c in coefs.items())
+            lhs = theta_star - sum(c * y_star[i] for i, c in coefs.items())
             if lhs > rhs + 1e-7:
                 row = {ycol[i]: -c for i, c in coefs.items()}
                 row[theta] = 1.0
-                before = model.n_rows
-                model.add_row(row, rhs)
-                if model.n_rows > before:
-                    added += 1
+                added += model.add_row(row, rhs)
         return added
 
     stack: List[Dict[int, int]] = [{}]
@@ -175,67 +168,45 @@ def solve_sep(
         if time_budget is not None and time.monotonic() - t0 > time_budget:
             return SepResult(inc_set, inc_val, ub_theta, TIMED_OUT)
         fixings = stack.pop()
-        for i, v in fixings.items():
-            model.fix_var(ycol[i], float(v))
-        try:
-            node_done = False
-            while not node_done:
-                res = solve_lp(model)
-                if res.status == INFEASIBLE:
-                    node_done = True
-                    break
-                bound = res.objective
-                if bound <= inc_val + 1e-9:
-                    node_done = True
-                    break
-                if cutoff is not None and inc_val > cutoff + CUTOFF_SLACK:
-                    node_done = True
-                    break
-                yv = {ycol[i]: res.x[ycol[i]] for i in items}
-                theta_star = res.x[theta]
-                frac = [i for i in items if INT_TOL < yv[ycol[i]] < 1.0 - INT_TOL]
-                if not frac:
-                    s_hat = [i for i in items if yv[ycol[i]] > 0.5]
-                    ev.reset(s_hat)
-                    z_s = ev.value
-                    if theta_star > z_s + INT_TOL:
-                        if add_rows_for(s_hat, theta_star, yv) == 0:
-                            # numerically stuck: accept the candidate value
-                            node_done = True
-                        if not node_done:
-                            continue
-                        # fall through to incumbent update below
-                    if z_s > inc_val + 1e-12:
-                        inc_val = z_s
-                        inc_set = frozenset(s_hat)
-                        if cutoff is not None and inc_val > cutoff + CUTOFF_SLACK:
-                            return SepResult(inc_set, inc_val, ub_theta, CUTOFF_EXCEEDED)
-                    node_done = True
-                else:
-                    # heuristic generating set: prefix by decreasing y*, stop
-                    # once a knapsack row first breaks (prefix kept as-is)
-                    order = sorted(items, key=lambda i: (-yv[ycol[i]], i))
-                    prefix: List[int] = []
-                    weight = np.zeros(knapsacks.L)
-                    for i in order:
-                        prefix.append(i)
-                        weight += knapsacks.item_cost(i)
-                        if not knapsacks.fits_weight(weight):
-                            break
-                    if add_rows_for(prefix, theta_star, yv) > 0:
+        fixed = {ycol[i]: float(v) for i, v in fixings.items()}
+        while True:
+            res = solve_lp(model, fixed)
+            if res.status == INFEASIBLE or res.objective <= inc_val + 1e-9:
+                break
+            y_star = {i: res.x[ycol[i]] for i in items}
+            theta_star = res.x[theta]
+            frac = [i for i in items if INT_TOL < y_star[i] < 1.0 - INT_TOL]
+            if not frac:
+                s_hat = [i for i in items if y_star[i] > 0.5]
+                ev.reset(s_hat)
+                z_s = ev.value
+                if theta_star > z_s + INT_TOL:
+                    if add_rows_for(s_hat, theta_star, y_star) > 0:
                         continue
-                    # branch on the most fractional variable
-                    pick = min(frac, key=lambda i: (abs(yv[ycol[i]] - 0.5), i))
-                    zero = dict(fixings)
-                    zero[pick] = 0
-                    one = dict(fixings)
-                    one[pick] = 1
-                    stack.append(zero)
-                    stack.append(one)  # explore inclusion first
-                    node_done = True
-        finally:
-            for i in fixings:
-                model.unfix_var(ycol[i])
+                    # numerically stuck: accept the candidate value
+                if z_s > inc_val + 1e-12:
+                    inc_val = z_s
+                    inc_set = frozenset(s_hat)
+                    if cutoff is not None and inc_val > cutoff + CUTOFF_SLACK:
+                        return SepResult(inc_set, inc_val, ub_theta, CUTOFF_EXCEEDED)
+                break
+            # heuristic generating set: prefix by decreasing y*, stop once a
+            # knapsack row first breaks (prefix kept as-is)
+            order = sorted(items, key=lambda i: (-y_star[i], i))
+            prefix: List[int] = []
+            weight = np.zeros(knapsacks.L)
+            for i in order:
+                prefix.append(i)
+                weight += knapsacks.item_cost(i)
+                if not knapsacks.fits_weight(weight):
+                    break
+            if add_rows_for(prefix, theta_star, y_star) > 0:
+                continue
+            # branch on the most fractional variable
+            pick = min(frac, key=lambda i: (abs(y_star[i] - 0.5), i))
+            stack.append({**fixings, pick: 0})
+            stack.append({**fixings, pick: 1})  # explore inclusion first
+            break
     return SepResult(inc_set, inc_val, inc_val, OPTIMAL)
 
 

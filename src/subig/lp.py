@@ -10,7 +10,7 @@ models always produce identical runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -41,7 +41,8 @@ class LpResult:
 
 
 class LpModel:
-    """Incrementally editable LP; rows are deduplicated by exact content."""
+    """LP that only grows: columns and rows are appended, and rows are
+    deduplicated by exact content.  Node bounds are passed to each solve."""
 
     def __init__(self, sense: str = "min"):
         if sense not in ("min", "max"):
@@ -50,11 +51,9 @@ class LpModel:
         self.lb: List[float] = []
         self.ub: List[float] = []
         self.obj: List[float] = []
-        self.names: List[str] = []
         self.rows: List[Dict[int, float]] = []
         self.rhs: List[float] = []
-        self._row_index: Dict[Tuple, int] = {}
-        self._saved_bounds: Dict[int, Tuple[float, float]] = {}
+        self._row_keys: Set[Tuple] = set()
 
     @property
     def n_vars(self) -> int:
@@ -64,66 +63,44 @@ class LpModel:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def add_var(self, lb: float = 0.0, ub: float = 1.0, obj: float = 0.0, name: str = "") -> int:
+    def add_var(self, lb: float = 0.0, ub: float = 1.0, obj: float = 0.0) -> int:
         if lb > ub:
             raise ValueError("variable lower bound exceeds upper bound")
         self.lb.append(float(lb))
         self.ub.append(float(ub))
         self.obj.append(float(obj))
-        self.names.append(name or f"v{len(self.lb) - 1}")
         return len(self.lb) - 1
 
     def _check_var(self, j: int) -> None:
         if not 0 <= j < self.n_vars:
             raise ValueError(f"unknown variable id {j}")
 
-    def add_row(self, coefs: Dict[int, float], rhs: float) -> int:
-        """a.v <= rhs; returns the existing id when the row is already present."""
+    def add_row(self, coefs: Dict[int, float], rhs: float) -> bool:
+        """a.v <= rhs; returns False, adding nothing, when the row is already present."""
         for j in coefs:
             self._check_var(j)
-        key = (tuple(sorted((j, float(c)) for j, c in coefs.items() if c != 0.0)), float(rhs))
-        hit = self._row_index.get(key)
-        if hit is not None:
-            return hit
-        self.rows.append({j: float(c) for j, c in coefs.items() if c != 0.0})
+        row = {j: float(c) for j, c in coefs.items() if c != 0.0}
+        key = (tuple(sorted(row.items())), float(rhs))
+        if key in self._row_keys:
+            return False
+        self._row_keys.add(key)
+        self.rows.append(row)
         self.rhs.append(float(rhs))
-        rid = len(self.rows) - 1
-        self._row_index[key] = rid
-        return rid
-
-    def fix_var(self, j: int, value: float) -> None:
-        self._check_var(j)
-        if j not in self._saved_bounds:
-            self._saved_bounds[j] = (self.lb[j], self.ub[j])
-        self.lb[j] = float(value)
-        self.ub[j] = float(value)
-
-    def unfix_var(self, j: int) -> None:
-        self._check_var(j)
-        if j not in self._saved_bounds:
-            raise ValueError(f"variable {j} is not fixed")
-        self.lb[j], self.ub[j] = self._saved_bounds.pop(j)
-
-    def dump(self) -> str:
-        """Plain-text listing, one row per line, 12 significant digits."""
-        out = []
-        obj = " + ".join(f"{c:.12g} {self.names[j]}" for j, c in enumerate(self.obj) if c != 0.0)
-        out.append(f"{self.sense}: {obj or '0'}")
-        for r, (coefs, rhs) in enumerate(zip(self.rows, self.rhs)):
-            terms = " + ".join(f"{c:.12g} {self.names[j]}" for j, c in sorted(coefs.items()))
-            out.append(f"r{r}: {terms} <= {rhs:.12g}")
-        for j in range(self.n_vars):
-            out.append(f"{self.names[j]} in [{self.lb[j]:.12g}, {self.ub[j]:.12g}]")
-        return "\n".join(out) + "\n"
+        return True
 
 
-def solve_lp(model: LpModel) -> LpResult:
+def solve_lp(model: LpModel, fixed: Optional[Dict[int, float]] = None) -> LpResult:
+    """Optimize the model with each column in ``fixed`` held at its value for
+    this solve only; the model itself is not changed."""
     n = model.n_vars
     m = model.n_rows
     sign = 1.0 if model.sense == "min" else -1.0
     c_struct = sign * np.asarray(model.obj, dtype=float)
-    lb = np.asarray(model.lb, dtype=float)
-    ub = np.asarray(model.ub, dtype=float)
+    lb = np.array(model.lb, dtype=float)
+    ub = np.array(model.ub, dtype=float)
+    for j, value in (fixed or {}).items():
+        model._check_var(j)
+        lb[j] = ub[j] = float(value)
     if np.any(lb > ub + 1e-12):
         return LpResult(INFEASIBLE, np.zeros(n), 0.0)
 
@@ -162,7 +139,6 @@ def solve_lp(model: LpModel) -> LpResult:
         if float(c1 @ x) > FEAS_TOL:
             return LpResult(INFEASIBLE, x[:n].copy(), 0.0)
         up[art_cols] = 0.0  # pin artificials for phase 2
-        x[art_cols] = np.maximum(x[art_cols], 0.0)
 
     c2 = np.zeros(total)
     c2[:n] = c_struct
@@ -248,13 +224,11 @@ def _simplex(A, b, low, up, c, basis, x, stat) -> str:
             if degenerate >= DEGENERATE_LIMIT:
                 bland = True
 
-        x[basis] += delta * t_best
         if leave_pos < 0:
             # no basic ratio beat the entering variable's own range: bound flip
             x[enter] = up[enter] if direction > 0 else low[enter]
             stat[enter] = _AT_UB if direction > 0 else _AT_LB
             continue
-        x[enter] += direction * t_best
         out = basis[leave_pos]
         leave_stat = _AT_UB if delta[leave_pos] > 0 else _AT_LB
         x[out] = up[out] if leave_stat == _AT_UB else low[out]

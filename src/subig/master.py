@@ -197,7 +197,7 @@ def fractional_candidate(
         raise ValueError(f"unknown fractional strategy {strategy!r}")
     s_hat, order = follower.greedy(oracle, ground, knapsacks=knapsacks)
     if cut_family == "improved":
-        s_hat, order = follower.greedy(oracle, range(n), s_hat, order, knapsacks)
+        s_hat, order = follower.greedy(oracle, range(n), knapsacks, s_hat, order)
     return s_hat, order
 
 
@@ -259,7 +259,7 @@ def separate_integer(
     w_star: float,
     x_star: Sequence[float],
     dominating: DominatingLists,
-    phi_cache: Dict[frozenset, Tuple[float, frozenset]] | None = None,
+    phi_cache: Dict[frozenset, Tuple[float, frozenset]],
     time_budget: float | None = None,
 ) -> Tuple[List[Cut], Optional[float]]:
     """Exact separation at a binary leader point: one follower solve, which
@@ -271,7 +271,7 @@ def separate_integer(
     avail = frozenset(i for i in range(oracle.n) if x_star[i] <= INT_TOL)
     phi_val: Optional[float] = None
     s_hat: Optional[frozenset] = None
-    cached = phi_cache.get(avail) if phi_cache is not None else None
+    cached = phi_cache.get(avail)
     if cached is not None:
         phi_val, s_hat = cached
         if phi_val <= w_star + VIOL_TOL:
@@ -291,8 +291,7 @@ def separate_integer(
                 raise FollowerTimeout("integer separation timed out")
             if res.status == follower.OPTIMAL:
                 phi_val = res.value
-                if phi_cache is not None:
-                    phi_cache[avail] = (res.value, res.items)
+                phi_cache[avail] = (res.value, res.items)
                 if res.value <= w_star + VIOL_TOL:
                     return [], res.value
             s_hat = res.items
@@ -330,8 +329,8 @@ class InterdictionSolver:
 
     def _build_model(self):
         model = LpModel("min")
-        self.xcol = [model.add_var(0.0, 1.0, name=f"x{i}") for i in range(self.n)]
-        self.wcol = model.add_var(0.0, np.inf, obj=1.0, name="w")
+        self.xcol = [model.add_var(0.0, 1.0) for _ in range(self.n)]
+        self.wcol = model.add_var(0.0, np.inf, obj=1.0)
         for coefs, rhs in self.leader_rows:
             model.add_row({self.xcol[i]: c for i, c in coefs.items()}, rhs)
         if self.config.enable_dominance:
@@ -348,12 +347,10 @@ class InterdictionSolver:
     def _add_cut(self, cut: Cut) -> bool:
         row = {self.xcol[i]: g for i, g in cut.g.items()}
         row[self.wcol] = -1.0
-        before = self.model.n_rows
-        self.model.add_row(row, -cut.c0)
-        if self.model.n_rows > before:
-            self.cut_counts[cut.family] += 1
-            return True
-        return False
+        if not self.model.add_row(row, -cut.c0):
+            return False
+        self.cut_counts[cut.family] += 1
+        return True
 
     def solve(self) -> SolveResult:
         t0 = time.monotonic()
@@ -438,78 +435,72 @@ class InterdictionSolver:
         children: List[Tuple[float, Dict[int, int]]]
 
     def _process_node(self, node: _Node, inc_val: Optional[float], remaining) -> "_Outcome":
-        model = self.model
-        for j, v in node.fixings.items():
-            model.fix_var(self.xcol[j], float(v))
-        try:
-            frac_done = False
-            incumbent = None
-            children: List[Tuple[float, Dict[int, int]]] = []
-            bound: Optional[float] = None
-            while True:
-                if remaining() <= 0:
-                    raise FollowerTimeout("node processing out of time")
-                res = solve_lp(model)
-                if res.status == INFEASIBLE:
-                    break
-                bound = res.objective
-                if inc_val is not None and bound >= inc_val - VIOL_TOL:
-                    break
-                xs = [res.x[self.xcol[i]] for i in range(self.n)]
-                w_star = res.x[self.wcol]
-                frac = [i for i in range(self.n) if INT_TOL < xs[i] < 1.0 - INT_TOL]
-                if not frac:
-                    x_hat = [1.0 if xs[i] > 0.5 else 0.0 for i in range(self.n)]
-                    built, phi_val = separate_integer(
-                        self.oracle,
-                        self.knapsacks,
-                        self.config,
-                        w_star,
-                        x_hat,
-                        self.dominating,
-                        phi_cache=self.phi_cache,
-                        time_budget=remaining(),
-                    )
-                    if built:
-                        added = sum(self._add_cut(c) for c in built)
-                        if added:
-                            continue
-                        # violated cuts all duplicated existing rows: accept
-                        # at the exact defended value
-                        if phi_val is None:
-                            phi_val = follower.phi(
-                                self.oracle, x_hat, self.knapsacks, time_budget=remaining()
-                            )
-                    incumbent = (phi_val, tuple(int(v) for v in x_hat))
-                    break
-                if not frac_done:
-                    frac_done = True
-                    built = separate_fractional(
-                        self.oracle,
-                        self.knapsacks,
-                        self.leader_rows,
-                        self.config,
-                        self.dominating,
-                        w_star,
-                        xs,
-                    )
-                    if built:
-                        added = sum(self._add_cut(c) for c in built)
-                        if added:
-                            continue
-                pick = min(frac, key=lambda i: (abs(xs[i] - 0.5), i))
-                for val in (0, 1):
-                    fixings = dict(node.fixings)
-                    fixings[pick] = val
-                    ones = [j for j, v in fixings.items() if v == 1]
-                    if val == 1 and not _leader_feasible(ones, self.leader_rows):
-                        continue
-                    children.append((bound, fixings))
+        fixed = {self.xcol[j]: float(v) for j, v in node.fixings.items()}
+        frac_done = False
+        incumbent = None
+        children: List[Tuple[float, Dict[int, int]]] = []
+        bound: Optional[float] = None
+        while True:
+            if remaining() <= 0:
+                raise FollowerTimeout("node processing out of time")
+            res = solve_lp(self.model, fixed)
+            if res.status == INFEASIBLE:
                 break
-            return self._Outcome(bound=bound, incumbent=incumbent, children=children)
-        finally:
-            for j in node.fixings:
-                model.unfix_var(self.xcol[j])
+            bound = res.objective
+            if inc_val is not None and bound >= inc_val - VIOL_TOL:
+                break
+            xs = [res.x[self.xcol[i]] for i in range(self.n)]
+            w_star = res.x[self.wcol]
+            frac = [i for i in range(self.n) if INT_TOL < xs[i] < 1.0 - INT_TOL]
+            if not frac:
+                x_hat = [1.0 if xs[i] > 0.5 else 0.0 for i in range(self.n)]
+                built, phi_val = separate_integer(
+                    self.oracle,
+                    self.knapsacks,
+                    self.config,
+                    w_star,
+                    x_hat,
+                    self.dominating,
+                    phi_cache=self.phi_cache,
+                    time_budget=remaining(),
+                )
+                if built:
+                    added = sum(self._add_cut(c) for c in built)
+                    if added:
+                        continue
+                    # violated cuts all duplicated existing rows: accept
+                    # at the exact defended value
+                    if phi_val is None:
+                        phi_val = follower.phi(
+                            self.oracle, x_hat, self.knapsacks, time_budget=remaining()
+                        )
+                incumbent = (phi_val, tuple(int(v) for v in x_hat))
+                break
+            if not frac_done:
+                frac_done = True
+                built = separate_fractional(
+                    self.oracle,
+                    self.knapsacks,
+                    self.leader_rows,
+                    self.config,
+                    self.dominating,
+                    w_star,
+                    xs,
+                )
+                if built:
+                    added = sum(self._add_cut(c) for c in built)
+                    if added:
+                        continue
+            pick = min(frac, key=lambda i: (abs(xs[i] - 0.5), i))
+            for val in (0, 1):
+                fixings = dict(node.fixings)
+                fixings[pick] = val
+                ones = [j for j, v in fixings.items() if v == 1]
+                if val == 1 and not _leader_feasible(ones, self.leader_rows):
+                    continue
+                children.append((bound, fixings))
+            break
+        return self._Outcome(bound=bound, incumbent=incumbent, children=children)
 
 
 def solve(instance, oracle: SubmodularOracle, config: SolverConfig) -> SolveResult:

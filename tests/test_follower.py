@@ -29,7 +29,7 @@ def test_greedy_examples(cover_example, bipartite_example):
 def test_greedy_extends_seed_order(cover_example):
     worc = cover_example.oracle()
     knap = cover_example.knapsacks()
-    s, order = follower.greedy(worc, range(3), {0}, (0,), knap)
+    s, order = follower.greedy(worc, range(3), knap, {0}, (0,))
     assert order[0] == 0 and s >= {0}
     assert len(order) == len(s) == 2
 
@@ -45,7 +45,7 @@ def test_greedy_is_maximal(cover_example):
 def test_greedy_rejects_infeasible_seed(cover_example):
     with pytest.raises(ValueError):
         follower.greedy(
-            cover_example.oracle(), range(3), {0, 1, 2}, (0, 1, 2), cover_example.knapsacks()
+            cover_example.oracle(), range(3), cover_example.knapsacks(), {0, 1, 2}, (0, 1, 2)
         )
 
 

@@ -37,7 +37,7 @@ def test_solve_bipartite_example(bipartite_example):
 def test_separate_integer_examples(cover_example, bipartite_example):
     worc = cover_example.oracle()
     built, phi_val = master.separate_integer(
-        worc, cover_example.knapsacks(), cfg("I-S1"), 0.0, [0, 1, 0], DominatingLists.empty()
+        worc, cover_example.knapsacks(), cfg("I-S1"), 0.0, [0, 1, 0], DominatingLists.empty(), {}
     )
     assert len(built) == 1
     assert built[0].c0 == 15.0
@@ -45,13 +45,13 @@ def test_separate_integer_examples(cover_example, bipartite_example):
     assert phi_val == 15.0  # exact path solves the follower to optimality
 
     built, phi_val = master.separate_integer(
-        worc, cover_example.knapsacks(), cfg("I-S1"), 15.0, [0, 1, 0], DominatingLists.empty()
+        worc, cover_example.knapsacks(), cfg("I-S1"), 15.0, [0, 1, 0], DominatingLists.empty(), {}
     )
     assert built == [] and phi_val == 15.0
 
     borc = bipartite_example.oracle()
     built, _ = master.separate_integer(
-        borc, bipartite_example.knapsacks(), cfg("I-S1"), 1.0, [0, 0, 0], DominatingLists.empty()
+        borc, bipartite_example.knapsacks(), cfg("I-S1"), 1.0, [0, 0, 0], DominatingLists.empty(), {}
     )
     assert len(built) == 1
     assert built[0].c0 == pytest.approx(1.6, abs=1e-9)
@@ -61,7 +61,7 @@ def test_separate_integer_examples(cover_example, bipartite_example):
 def test_separate_integer_enhanced_uses_greedy(cover_example):
     worc = cover_example.oracle()
     built, phi_val = master.separate_integer(
-        worc, cover_example.knapsacks(), cfg("IE-S1"), 10.0, [0, 1, 0], DominatingLists.empty()
+        worc, cover_example.knapsacks(), cfg("IE-S1"), 10.0, [0, 1, 0], DominatingLists.empty(), {}
     )
     assert len(built) == 1 and built[0].c0 == 15.0
     assert phi_val is None  # greedy shortcut skips the exact solve
@@ -74,13 +74,13 @@ def test_separate_integer_enhanced_paths(cover_example, bipartite_example):
     none = DominatingLists.empty()
     # no violated cut at w* = phi: the cutoff solve runs to optimality
     phi_val = follower.phi(worc, [0, 1, 0], knap)
-    built, got = master.separate_integer(worc, knap, cfg("IE-S1"), phi_val, [0, 1, 0], none)
+    built, got = master.separate_integer(worc, knap, cfg("IE-S1"), phi_val, [0, 1, 0], none, {})
     assert built == [] and got == phi_val
 
     # the BIIG example: greedy over {0, 2} already beats w* = 0.5
     borc = bipartite_example.oracle()
     built, _ = master.separate_integer(
-        borc, bipartite_example.knapsacks(), cfg("IE-S1"), 0.5, [0, 1, 0], none
+        borc, bipartite_example.knapsacks(), cfg("IE-S1"), 0.5, [0, 1, 0], none, {}
     )
     assert borc.value(built[0].source_set) == pytest.approx(0.98, abs=1e-9)
 
@@ -95,7 +95,7 @@ def test_separate_integer_enhanced_paths(cover_example, bipartite_example):
     greedy_set, _ = follower.greedy(torc, range(3), knapsacks=trap.knapsacks())
     assert torc.value(greedy_set) == 8.0
     built, _ = master.separate_integer(
-        torc, trap.knapsacks(), cfg("IE-S1"), 9.0, [0, 0, 0], none
+        torc, trap.knapsacks(), cfg("IE-S1"), 9.0, [0, 0, 0], none, {}
     )
     assert built[0].source_set == {0, 1} and built[0].c0 == 10.0
 
@@ -229,6 +229,16 @@ def test_node_limit_status():
     res = master.solve(inst, inst.oracle(), cfg("B-S1", node_limit=1))
     assert res.status == "node_limit"
     assert res.lower_bound <= (res.value if res.value is not None else np.inf) + 1e-9
+
+
+def test_node_fixings_leave_the_model_bounds_unchanged():
+    inst = dataclasses.replace(gen_wmcig(12, 2, 0.2, 8), B=3, k=3)
+    solver = master.InterdictionSolver(inst, inst.oracle(), cfg("B-S1", node_limit=4))
+    lb, ub = list(solver.model.lb), list(solver.model.ub)
+    res = solver.solve()
+    # every node after the root is solved with at least one fixing
+    assert res.status == "node_limit" and res.nodes == 4
+    assert solver.model.lb == lb and solver.model.ub == ub
 
 
 def test_time_limit_status():
