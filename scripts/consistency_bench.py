@@ -10,12 +10,7 @@ import tempfile
 from pathlib import Path
 
 from subig import cli, problems
-
-SETTINGS = [
-    f"{base}-{s}"
-    for base in ("B", "I", "IL", "ILD", "ILDA", "ILDAE")
-    for s in ("S1", "S2", "S3")
-]
+from subig.master import LADDER_SETTINGS
 
 
 def main() -> int:
@@ -36,7 +31,7 @@ def main() -> int:
         problems.write_instance(inst, str(path))
         paths.append(path)
     manifest = workdir / "manifest.txt"
-    manifest.write_text("\n".join(f"{p} {s}" for p in paths for s in SETTINGS) + "\n")
+    manifest.write_text("\n".join(f"{p} {s}" for p in paths for s in LADDER_SETTINGS) + "\n")
 
     rc = cli.main([
         "bench", str(manifest), "--out", args.out,
@@ -54,7 +49,7 @@ def main() -> int:
     disagreements = {k: v for k, v in by_instance.items() if len(v) != 1}
     for name, vals in disagreements.items():
         print(f"DISAGREEMENT {name}: {sorted(vals)}", file=sys.stderr)
-    print(f"{len(by_instance)} instances x {len(SETTINGS)} settings -> {args.out}")
+    print(f"{len(by_instance)} instances x {len(LADDER_SETTINGS)} settings -> {args.out}")
     return 1 if disagreements else 0
 
 

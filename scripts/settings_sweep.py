@@ -8,7 +8,6 @@ components change the search path without changing the answer.
 """
 
 import argparse
-import itertools
 import sys
 
 from subig import master, problems
@@ -26,19 +25,7 @@ def main(argv=None) -> int:
 
     inst = problems.load_instance(args.instance)
     oracle = inst.oracle()
-    if args.full:
-        settings = [
-            f"{fam}{l}{d}{a}{e}-S{s}"
-            for fam, l, d, a, e, s in itertools.product(
-                "BI", ("", "L"), ("", "D"), ("", "A"), ("", "E"), "123"
-            )
-        ]
-    else:
-        settings = [
-            f"{base}-{s}"
-            for base in ("B", "I", "IL", "ILD", "ILDA", "ILDAE")
-            for s in ("S1", "S2", "S3")
-        ]
+    settings = master.ALL_SETTINGS if args.full else master.LADDER_SETTINGS
 
     print(f"{'setting':<12} {'status':>10} {'value':>12} {'nodes':>7} {'cuts':>6} "
           f"{'b/i/l/a':>13} {'time':>8}")

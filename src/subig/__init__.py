@@ -40,14 +40,12 @@ from .master import (
 from .problems import (
     BiigInstance,
     WmcigInstance,
-    biig_superiority,
     dump_instance,
     export_miblp,
     gen_biig,
     gen_wmcig,
     load_instance,
     parse_instance,
-    wmcig_superiority,
     write_instance,
 )
 

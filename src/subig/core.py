@@ -193,7 +193,8 @@ def check_submodular_monotone(
 
 @dataclass(frozen=True)
 class KnapsackSystem:
-    """Follower-side knapsack constraints: costs (L x n), capacities (L,).
+    """Knapsack constraints on a player's items: costs (L x n), capacities
+    (L,).  Both the follower's and the leader's budget are one of these.
 
     The costs are also kept as one read-only L x n float array, which every
     weight and fit test reads.

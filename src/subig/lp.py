@@ -91,7 +91,8 @@ class LpModel:
 
 def solve_lp(model: LpModel, fixed: Optional[Dict[int, float]] = None) -> LpResult:
     """Optimize the model with each column in ``fixed`` held at its value for
-    this solve only; the model itself is not changed."""
+    this solve only; the model itself is not changed.  A fixing outside the
+    column's bounds makes the solve infeasible."""
     n = model.n_vars
     m = model.n_rows
     sign = 1.0 if model.sense == "min" else -1.0
@@ -100,8 +101,8 @@ def solve_lp(model: LpModel, fixed: Optional[Dict[int, float]] = None) -> LpResu
     ub = np.array(model.ub, dtype=float)
     for j, value in (fixed or {}).items():
         model._check_var(j)
-        lb[j] = ub[j] = float(value)
-    if np.any(lb > ub + 1e-12):
+        lb[j], ub[j] = max(lb[j], value), min(ub[j], value)
+    if np.any(lb > ub):  # a fixing outside its column's bounds
         return LpResult(INFEASIBLE, np.zeros(n), 0.0)
 
     # nonbasic start: the finite lower bound, else the finite upper, else 0

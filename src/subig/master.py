@@ -11,6 +11,7 @@ Node selection is best-bound, branching is most-fractional.
 from __future__ import annotations
 
 import heapq
+import itertools
 import re
 import time
 from dataclasses import dataclass, field
@@ -34,6 +35,16 @@ STATUS_TIME = "time_limit"
 STATUS_NODES = "node_limit"
 
 _SETTING_RE = re.compile(r"^([BI])(L?)(D?)(A?)(E?)-S([123])$")
+# the incremental ladder: each step adds one component, under every strategy
+LADDER_SETTINGS = tuple(
+    f"{base}-S{s}" for base in ("B", "I", "IL", "ILD", "ILDA", "ILDAE") for s in "123"
+)
+ALL_SETTINGS = tuple(
+    f"{fam}{l}{d}{a}{e}-S{s}"
+    for fam, l, d, a, e, s in itertools.product(
+        "BI", ("", "L"), ("", "D"), ("", "A"), ("", "E"), "123"
+    )
+)
 
 
 @dataclass
@@ -107,47 +118,30 @@ def gap(z_star: Optional[float], z_lower: float) -> float:
     return 100.0 * (z_star - z_lower) / (0.1 + z_star)
 
 
-def dominance_preprocess(instance, oracle: SubmodularOracle) -> List[Tuple[int, int]]:
+def dominance_preprocess(
+    dominating: DominatingLists, leader: KnapsackSystem
+) -> List[Tuple[int, int]]:
     """Pairs (i, j) justifying the inequality x_i >= x_j: i is at least as
-    useful for the follower, no costlier, and no harder for the leader.  When
-    both directions hold only the (min, max) orientation is kept."""
-    dom = instance.dominating_lists()
-    rows = instance.leader_rows()
-
-    def leader_ok(i: int, j: int) -> bool:
-        return all(coefs.get(i, 0.0) <= coefs.get(j, 0.0) for coefs, _ in rows)
-
-    pairs = set()
-    for j, cands in sorted(dom.lists.items()):
-        for i in cands:
-            if leader_ok(i, j):
-                pairs.add((i, j))
-    out = []
-    for i, j in sorted(pairs):
-        if (j, i) in pairs and j < i:
-            continue  # keep only the min-id >= max-id orientation
-        out.append((i, j))
-    return out
+    useful for the follower, no costlier, and no costlier for the leader.
+    When both directions hold only the (min, max) orientation is kept."""
+    pairs = {
+        (i, j) for j, cands in dominating.lists.items() for i in cands if leader.cost_le(i, j)
+    }
+    return sorted((i, j) for i, j in pairs if not ((j, i) in pairs and j < i))
 
 
-def _leader_feasible(ones: Sequence[int], leader_rows) -> bool:
-    """True when interdicting every item in ``ones`` keeps each leader row."""
-    return all(sum(coefs.get(j, 0.0) for j in ones) <= rhs + 1e-9 for coefs, rhs in leader_rows)
-
-
-def _rounding_ground_set(x_star: Sequence[float], leader_rows) -> List[int]:
-    """S2: interdict the items at 1 in x*, then keep interdicting the largest
-    x*_i (ties to the lower id) while the leader rows allow; what stays
-    uninterdicted is the ground set."""
+def _rounding_ground_set(x_star: Sequence[float], leader: KnapsackSystem) -> List[int]:
+    """S2: interdict the items at 1 in x*, then each other item in order of
+    decreasing x*_i (ties to the lower id) that the leader budget still
+    allows; what stays uninterdicted is the ground set.  (Costs are
+    non-negative, so an item that does not fit never fits later.)"""
     n = len(x_star)
     ones = [i for i in range(n) if x_star[i] >= 1.0 - INT_TOL]
-    while True:
-        cands = [
-            i for i in range(n) if i not in ones and _leader_feasible(ones + [i], leader_rows)
-        ]
-        if not cands:
-            break
-        ones.append(max(cands, key=lambda i: (x_star[i], -i)))
+    weight = leader.weight(ones)
+    for i in sorted(set(range(n)).difference(ones), key=lambda i: (-x_star[i], i)):
+        if leader.fits_weight(weight + leader.item_cost(i)):
+            ones.append(i)
+            weight += leader.item_cost(i)
     return [i for i in range(n) if i not in ones]
 
 
@@ -157,7 +151,7 @@ def fractional_candidate(
     strategy: str,
     cut_family: str,
     knapsacks: KnapsackSystem,
-    leader_rows=(),
+    leader: KnapsackSystem,
 ) -> Tuple[frozenset, Tuple[int, ...]]:
     """Heuristic generating set and ordering for a fractional leader point."""
     n = oracle.n
@@ -192,7 +186,7 @@ def fractional_candidate(
     if strategy == "S1":
         ground = [i for i in range(n) if x_star[i] <= INT_TOL]
     elif strategy == "S2":
-        ground = _rounding_ground_set(x_star, leader_rows)
+        ground = _rounding_ground_set(x_star, leader)
     else:
         raise ValueError(f"unknown fractional strategy {strategy!r}")
     s_hat, order = follower.greedy(oracle, ground, knapsacks=knapsacks)
@@ -229,7 +223,7 @@ def _build_cuts(
 def separate_fractional(
     oracle: SubmodularOracle,
     knapsacks: KnapsackSystem,
-    leader_rows,
+    leader: KnapsackSystem,
     config: SolverConfig,
     dominating: DominatingLists,
     w_star: float,
@@ -238,7 +232,7 @@ def separate_fractional(
     """Candidate set via the configured strategy; keep cuts whose relative
     violation clears the threshold."""
     s_hat, order = fractional_candidate(
-        oracle, x_star, config.frac_strategy, config.cut_family, knapsacks, leader_rows
+        oracle, x_star, config.frac_strategy, config.cut_family, knapsacks, leader
     )
     if not s_hat:
         return []
@@ -307,19 +301,23 @@ class _Node:
     bound: float
     seq: int
     fixings: Dict[int, int] = field(compare=False)
-    depth: int = field(compare=False, default=0)
+
+
+def _capped(bound: float, inc_val: Optional[float]) -> float:
+    return bound if inc_val is None else min(bound, inc_val)
 
 
 class InterdictionSolver:
-    """One branch-and-cut run over a single instance; single-threaded."""
+    """One branch-and-cut run over a single instance; single-threaded.
+
+    LP column i is item i's interdiction x_i, and column n is w."""
 
     def __init__(self, instance, oracle: SubmodularOracle, config: SolverConfig):
-        self.instance = instance
         self.oracle = oracle
         self.config = config
         self.n = oracle.n
         self.knapsacks = instance.knapsacks()
-        self.leader_rows = instance.leader_rows()
+        self.leader = instance.leader_budget()
         need_lists = config.enable_lift or config.enable_dominance
         self.dominating = instance.dominating_lists() if need_lists else DominatingLists.empty()
         self.phi_cache: Dict[frozenset, Tuple[float, frozenset]] = {}
@@ -329,13 +327,14 @@ class InterdictionSolver:
 
     def _build_model(self):
         model = LpModel("min")
-        self.xcol = [model.add_var(0.0, 1.0) for _ in range(self.n)]
-        self.wcol = model.add_var(0.0, np.inf, obj=1.0)
-        for coefs, rhs in self.leader_rows:
-            model.add_row({self.xcol[i]: c for i, c in coefs.items()}, rhs)
+        for _ in range(self.n):
+            model.add_var(0.0, 1.0)
+        self.w = model.add_var(0.0, np.inf, obj=1.0)
+        for costs, cap in zip(self.leader.costs, self.leader.caps):
+            model.add_row(dict(enumerate(costs)), cap)
         if self.config.enable_dominance:
-            for i, j in dominance_preprocess(self.instance, self.oracle):
-                model.add_row({self.xcol[j]: 1.0, self.xcol[i]: -1.0}, 0.0)
+            for i, j in dominance_preprocess(self.dominating, self.leader):
+                model.add_row({j: 1.0, i: -1.0}, 0.0)
         self.model = model
         # root cut: improved SIC from a greedy follower run, so the first
         # relaxation is bounded away from w >= 0
@@ -345,101 +344,81 @@ class InterdictionSolver:
             self._add_cut(cut)
 
     def _add_cut(self, cut: Cut) -> bool:
-        row = {self.xcol[i]: g for i, g in cut.g.items()}
-        row[self.wcol] = -1.0
-        if not self.model.add_row(row, -cut.c0):
+        if not self.model.add_row({**cut.g, self.w: -1.0}, -cut.c0):
             return False
         self.cut_counts[cut.family] += 1
         return True
 
     def solve(self) -> SolveResult:
+        """Best-bound search.  The lower bound is the least bound among the
+        open nodes, capped by the incumbent."""
         t0 = time.monotonic()
         deadline = t0 + self.config.time_limit
         inc_val: Optional[float] = None
         inc_x: Optional[Tuple[int, ...]] = None
-        lb = 0.0
         status = STATUS_OPTIMAL
-        nodes_done = 0
-        root_gap_value: Optional[float] = None
-        counter = 0
-        heap: List[_Node] = [_Node(bound=0.0, seq=counter, fixings={})]
+        seq = itertools.count()
+        heap: List[_Node] = [_Node(bound=0.0, seq=next(seq), fixings={})]
 
         def remaining() -> float:
             return deadline - time.monotonic()
+
+        def lower_bound() -> Optional[float]:
+            return _capped(heap[0].bound, inc_val) if heap else inc_val
 
         while heap:
             if remaining() <= 0:
                 status = STATUS_TIME
                 break
-            if self.config.node_limit is not None and nodes_done >= self.config.node_limit:
+            if self.config.node_limit is not None and len(self.events) >= self.config.node_limit:
                 status = STATUS_NODES
                 break
+            if inc_val is not None and heap[0].bound >= inc_val - VIOL_TOL:
+                heap.clear()  # best-bound order: no open node can improve
+                break
             node = heapq.heappop(heap)
-            lb = max(lb, node.bound)
-            if inc_val is not None and node.bound >= inc_val - VIOL_TOL:
-                lb = inc_val
-                break  # best-bound order: nothing left can improve
             try:
-                outcome = self._process_node(node, inc_val, remaining)
+                bound, incumbent, children = self._process_node(node, inc_val, remaining)
             except FollowerTimeout:
                 status = STATUS_TIME
                 heapq.heappush(heap, node)
                 break
-            nodes_done += 1
-            if outcome.incumbent is not None:
-                val, xs = outcome.incumbent
-                if inc_val is None or val < inc_val - 1e-12:
-                    inc_val = val
-                    inc_x = xs
-            for child in outcome.children:
-                counter += 1
-                heapq.heappush(
-                    heap, _Node(bound=child[0], seq=counter, fixings=child[1], depth=node.depth + 1)
-                )
+            if incumbent is not None and (inc_val is None or incumbent[0] < inc_val - 1e-12):
+                inc_val, inc_x = incumbent
+            for fixings in children:
+                heapq.heappush(heap, _Node(bound=bound, seq=next(seq), fixings=fixings))
             self.events.append(
                 {
-                    "node": nodes_done,
-                    "bound": node.bound if outcome.bound is None else outcome.bound,
-                    "lb": min(lb, inc_val) if inc_val is not None else lb,
+                    "node": len(self.events) + 1,
+                    "bound": bound,
+                    "lb": lower_bound(),
                     "incumbent": inc_val,
                     **{f"cuts_{k}": v for k, v in self.cut_counts.items()},
                 }
             )
-            if root_gap_value is None:
-                root_lb = outcome.bound if outcome.bound is not None else node.bound
-                root_gap_value = gap(inc_val, min(root_lb, inc_val) if inc_val is not None else root_lb)
 
-        if status == STATUS_OPTIMAL and inc_val is not None:
-            # tree exhausted or fathomed by bound: the incumbent is optimal
-            lb = inc_val
-        if inc_val is not None:
-            lb = min(lb, inc_val)
-        runtime = time.monotonic() - t0
+        lb = lower_bound()
+        root = self.events[0] if self.events else {"bound": 0.0, "incumbent": None}
         return SolveResult(
             value=inc_val,
             lower_bound=lb,
             best_x=inc_x,
             gap=gap(inc_val, lb),
-            root_gap=root_gap_value if root_gap_value is not None else 100.0,
-            nodes=nodes_done,
+            root_gap=gap(root["incumbent"], _capped(root["bound"], root["incumbent"])),
+            nodes=len(self.events),
             cuts_by_family=dict(self.cut_counts),
             status=status,
-            runtime=runtime,
+            runtime=time.monotonic() - t0,
             events=self.events,
         )
 
-    @dataclass
-    class _Outcome:
-        bound: Optional[float]
-        incumbent: Optional[Tuple[float, Tuple[int, ...]]]
-        children: List[Tuple[float, Dict[int, int]]]
-
-    def _process_node(self, node: _Node, inc_val: Optional[float], remaining) -> "_Outcome":
-        fixed = {self.xcol[j]: float(v) for j, v in node.fixings.items()}
+    def _process_node(self, node: _Node, inc_val: Optional[float], remaining):
+        """(bound, incumbent or None, fixings of each child) of one node."""
+        fixed = {j: float(v) for j, v in node.fixings.items()}
         frac_done = False
         incumbent = None
-        children: List[Tuple[float, Dict[int, int]]] = []
-        bound: Optional[float] = None
+        children: List[Dict[int, int]] = []
+        bound = node.bound
         while True:
             if remaining() <= 0:
                 raise FollowerTimeout("node processing out of time")
@@ -449,8 +428,8 @@ class InterdictionSolver:
             bound = res.objective
             if inc_val is not None and bound >= inc_val - VIOL_TOL:
                 break
-            xs = [res.x[self.xcol[i]] for i in range(self.n)]
-            w_star = res.x[self.wcol]
+            xs = res.x[: self.n].tolist()
+            w_star = res.x[self.w]
             frac = [i for i in range(self.n) if INT_TOL < xs[i] < 1.0 - INT_TOL]
             if not frac:
                 x_hat = [1.0 if xs[i] > 0.5 else 0.0 for i in range(self.n)]
@@ -481,7 +460,7 @@ class InterdictionSolver:
                 built = separate_fractional(
                     self.oracle,
                     self.knapsacks,
-                    self.leader_rows,
+                    self.leader,
                     self.config,
                     self.dominating,
                     w_star,
@@ -493,14 +472,11 @@ class InterdictionSolver:
                         continue
             pick = min(frac, key=lambda i: (abs(xs[i] - 0.5), i))
             for val in (0, 1):
-                fixings = dict(node.fixings)
-                fixings[pick] = val
-                ones = [j for j, v in fixings.items() if v == 1]
-                if val == 1 and not _leader_feasible(ones, self.leader_rows):
-                    continue
-                children.append((bound, fixings))
+                fixings = {**node.fixings, pick: val}
+                if val == 0 or self.leader.fits(j for j, v in fixings.items() if v == 1):
+                    children.append(fixings)
             break
-        return self._Outcome(bound=bound, incumbent=incumbent, children=children)
+        return bound, incumbent, children
 
 
 def solve(instance, oracle: SubmodularOracle, config: SolverConfig) -> SolveResult:

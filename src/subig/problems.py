@@ -22,9 +22,49 @@ RNG_NAME = "pcg64"  # np.random.PCG64 seeded directly; draw order is documented
                     # in each generator
 
 
+class _Game:
+    """What both games share: n items, a follower budget of B items, a
+    leader budget of k items, and the superiority scan over the items."""
+
+    zero_replacement_gain: bool
+
+    def knapsacks(self) -> KnapsackSystem:
+        """The follower's budget."""
+        return KnapsackSystem.cardinality(self.n, self.B)
+
+    def leader_budget(self) -> KnapsackSystem:
+        """The leader's interdiction budget."""
+        return KnapsackSystem.cardinality(self.n, self.k)
+
+    def _reach(self) -> Tuple[Tuple[frozenset, float], ...]:
+        """Per item: what it reaches, and the probability that it reaches each."""
+        raise NotImplementedError
+
+    def dominating_lists(self) -> DominatingLists:
+        """j can replace i when j reaches everything i reaches, with at least
+        the same probability, and costs the follower no more (a cheap
+        sufficient test, pairwise scan)."""
+        knap = self.knapsacks()
+        reach = self._reach()
+        lists: Dict[int, Tuple[int, ...]] = {}
+        for i, (hit_i, p_i) in enumerate(reach):
+            cands = tuple(
+                j
+                for j, (hit_j, p_j) in enumerate(reach)
+                if j != i and hit_i <= hit_j and p_i <= p_j and knap.cost_le(j, i)
+            )
+            if cands:
+                lists[i] = cands
+        return DominatingLists(lists=lists, zero_replacement_gain=self.zero_replacement_gain)
+
+
 @dataclass(frozen=True)
-class WmcigInstance:
-    """Coverage interdiction: n facility sites, m customers with profits."""
+class WmcigInstance(_Game):
+    """Coverage interdiction: n facility sites, m customers with profits.
+
+    A site reaches the customers it covers with probability 1, and a site
+    replaced by one that covers everything it covers adds nothing next to
+    its replacement."""
 
     profits: Tuple[int, ...]            # per customer, >= 1
     cover: Tuple[frozenset, ...]        # customers covered per facility
@@ -32,6 +72,7 @@ class WmcigInstance:
     k: int                              # leader interdicts at most k sites
     name: str = "wmcig"
     provenance: str = ""
+    zero_replacement_gain = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -60,18 +101,12 @@ class WmcigInstance:
     def oracle(self) -> "CoverageOracle":
         return CoverageOracle(self)
 
-    def knapsacks(self) -> KnapsackSystem:
-        return KnapsackSystem.cardinality(self.n, self.B)
-
-    def leader_rows(self) -> List[Tuple[Dict[int, float], float]]:
-        return [({i: 1.0 for i in range(self.n)}, float(self.k))]
-
-    def dominating_lists(self) -> DominatingLists:
-        return wmcig_superiority(self)
+    def _reach(self) -> Tuple[Tuple[frozenset, float], ...]:
+        return tuple((js, 1.0) for js in self.cover)
 
 
 @dataclass(frozen=True)
-class BiigInstance:
+class BiigInstance(_Game):
     """Activation interdiction: items hit targets through a bipartite graph."""
 
     probs: Tuple[float, ...]            # per item activation probability
@@ -81,6 +116,7 @@ class BiigInstance:
     k: int
     name: str = "biig"
     provenance: str = ""
+    zero_replacement_gain = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -114,14 +150,8 @@ class BiigInstance:
     def oracle(self) -> "ActivationOracle":
         return ActivationOracle(self)
 
-    def knapsacks(self) -> KnapsackSystem:
-        return KnapsackSystem.cardinality(self.n, self.B)
-
-    def leader_rows(self) -> List[Tuple[Dict[int, float], float]]:
-        return [({i: 1.0 for i in range(self.n)}, float(self.k))]
-
-    def dominating_lists(self) -> DominatingLists:
-        return biig_superiority(self)
+    def _reach(self) -> Tuple[Tuple[frozenset, float], ...]:
+        return tuple(zip(self.neighbor_targets(), self.probs))
 
 
 class CoverageOracle(SubmodularOracle):
@@ -237,42 +267,6 @@ class _ActivationEvaluator(Evaluator):
         for j in self._oracle.neighbors[i]:
             g += self._survive[j] * p
         return float(g)
-
-
-def wmcig_superiority(inst: WmcigInstance) -> DominatingLists:
-    """j can replace i when j covers everything i covers (and is no costlier);
-    the replaced facility then contributes nothing next to its replacement."""
-    knap = inst.knapsacks()
-    lists: Dict[int, Tuple[int, ...]] = {}
-    for i in range(inst.n):
-        cands = [
-            j
-            for j in range(inst.n)
-            if j != i and inst.cover[i] <= inst.cover[j] and knap.cost_le(j, i)
-        ]
-        if cands:
-            lists[i] = tuple(cands)
-    return DominatingLists(lists=lists, zero_replacement_gain=True)
-
-
-def biig_superiority(inst: BiigInstance) -> DominatingLists:
-    """j can replace i when j reaches every target i reaches with at least
-    the same activation probability (cheap sufficient test, pairwise scan)."""
-    knap = inst.knapsacks()
-    nb = inst.neighbor_targets()
-    lists: Dict[int, Tuple[int, ...]] = {}
-    for i in range(inst.n):
-        cands = [
-            j
-            for j in range(inst.n)
-            if j != i
-            and nb[i] <= nb[j]
-            and inst.probs[j] >= inst.probs[i]
-            and knap.cost_le(j, i)
-        ]
-        if cands:
-            lists[i] = tuple(cands)
-    return DominatingLists(lists=lists, zero_replacement_gain=False)
 
 
 def gen_wmcig(n: int, r: float, k_frac: float, seed: int) -> WmcigInstance:
@@ -400,9 +394,13 @@ def parse_instance(text: str, name: str = "instance"):
     head = rows[0][1][0]
     if head.upper() not in ("WMCIG", "BIIG"):
         raise ValueError(f"line {rows[0][0]}: unknown instance header {head!r}")
-    _, (n, m, B, k) = take("header", head, count=4)
+    no, (n, m, B, k) = take("header", head, count=4)
+    if n < 1 or min(m, B, k) < 0:
+        raise ValueError(f"line {no}: the header needs n >= 1 and m, B, k >= 0")
     if head.upper() == "WMCIG":
-        _, profits = take("profit line", "P", count=m)
+        no, profits = take("profit line", "P", count=m)
+        if any(p < 1 for p in profits):
+            raise ValueError(f"line {no}: customer profits must be >= 1")
         cover: List[frozenset | None] = [None] * n
         for _ in range(n):
             no, vals = take("coverage line", "C")
@@ -418,7 +416,9 @@ def parse_instance(text: str, name: str = "instance"):
             cover[i] = frozenset(js)
         inst = WmcigInstance(profits=tuple(profits), cover=tuple(cover), B=B, k=k, name=name)
     else:
-        _, probs = take("probability line", "P", float, count=n)
+        no, probs = take("probability line", "P", float, count=n)
+        if any(not 0.0 <= p <= 1.0 for p in probs):
+            raise ValueError(f"line {no}: activation probabilities must lie in [0, 1]")
         no, (count,) = take("arc count line", "A", count=1)
         if count < 0:
             raise ValueError(f"line {no}: negative arc count")

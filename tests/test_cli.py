@@ -1,5 +1,9 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +88,18 @@ def test_export_miblp_cli(tmp_path, cover_example):
     assert "leader:" in text
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    """Importing scipy.optimize costs about 20 MB of peak RSS, so the package
+    must never load it; checked in a fresh interpreter."""
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    code = "import sys, subig.cli; print([m for m in sys.modules if m.startswith('scipy.optimize')])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     rc = cli.main(["solve", str(tmp_path / "nope.wmcig"), "--setting", "B-S1"])
     assert rc == 1
@@ -91,7 +107,11 @@ def test_missing_file_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text, line",
-    [("WMCIG 3 4 2 1\n", 1), ("WMCIG 2 2 1 1\nP 5 9\nC 0 1 0\nC 0 1 1\n", 4)],
+    [
+        ("WMCIG 3 4 2 1\n", 1),
+        ("WMCIG 2 2 1 1\nP 5 9\nC 0 1 0\nC 0 1 1\n", 4),
+        ("WMCIG 2 2 1 1\nP 0 9\nC 0 1 0\nC 1 1 1\n", 2),
+    ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, text, line):
     path = tmp_path / "bad.wmcig"

@@ -79,6 +79,17 @@ def test_unfix_unknown_raises():
         solve_lp(m, {-1: 0.0})  # numpy would take -1 as the last column
 
 
+def test_fixing_outside_the_bounds_is_infeasible():
+    m = LpModel("min")
+    x = m.add_var(0.0, 1.0)
+    w = m.add_var(0.0, np.inf, obj=1.0)
+    m.add_row({w: -1.0, x: 1.0}, 0.0)  # w >= x
+    assert solve_lp(m, {x: 2.0}).status == INFEASIBLE
+    assert solve_lp(m, {x: -0.5}).status == INFEASIBLE
+    at_bound = solve_lp(m, {x: 1.0})
+    assert at_bound.status == OPTIMAL and at_bound.objective == pytest.approx(1.0, abs=1e-9)
+
+
 def test_resolve_is_bit_identical():
     m = LpModel("max")
     xs = [m.add_var(0.0, 1.0, obj=c) for c in (1.0, -2.0, 0.5)]
@@ -213,7 +224,9 @@ _DIFFERENTIAL_LPS = 150
 
 
 def test_against_highs():
-    from scipy.optimize import linprog  # the package itself never loads scipy.optimize
+    # imported here only: the package never loads scipy.optimize (see
+    # tests/test_cli.py::test_cli_import_leaves_scipy_optimize_unloaded)
+    from scipy.optimize import linprog
 
     rng = np.random.default_rng(2021)
     statuses = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}

@@ -104,7 +104,7 @@ def test_fractional_candidate_s1(cover_example):
     worc = cover_example.oracle()
     s, order = master.fractional_candidate(
         worc, [0.5, 0.0, 0.0], "S1", "improved",
-        cover_example.knapsacks(), cover_example.leader_rows(),
+        cover_example.knapsacks(), cover_example.leader_budget(),
     )
     assert s == {1, 2} and order == (2, 1)
 
@@ -113,7 +113,7 @@ def test_fractional_candidate_s2(cover_example):
     worc = cover_example.oracle()
     s, order = master.fractional_candidate(
         worc, [0.6, 0.4, 0.0], "S2", "improved",
-        cover_example.knapsacks(), cover_example.leader_rows(),
+        cover_example.knapsacks(), cover_example.leader_budget(),
     )
     assert s == {1, 2} and order == (2, 1)
 
@@ -121,7 +121,8 @@ def test_fractional_candidate_s2(cover_example):
 def test_fractional_candidate_s3_all_zero_matches_greedy(cover_example):
     worc = cover_example.oracle()
     knap = cover_example.knapsacks()
-    s3 = master.fractional_candidate(worc, [0.0] * 3, "S3", "improved", knap, [])
+    leader = cover_example.leader_budget()
+    s3 = master.fractional_candidate(worc, [0.0] * 3, "S3", "improved", knap, leader)
     assert s3 == follower.greedy(worc, range(3), knapsacks=knap)
 
 
@@ -130,17 +131,18 @@ def test_fractional_candidate_s3_basic_stops_on_negative_score(cover_example):
     knap = cover_example.knapsacks()
     # every site fully interdicted in the relaxation: scores rho_i(S) - rho_i(0)
     # start at zero for the first pick, then go negative
-    s, order = master.fractional_candidate(worc, [1.0, 1.0, 1.0], "S3", "basic", knap, [])
+    leader = cover_example.leader_budget()
+    s, order = master.fractional_candidate(worc, [1.0, 1.0, 1.0], "S3", "basic", knap, leader)
     assert len(s) <= 2
 
 
 def test_separate_fractional_examples(cover_example):
     worc = cover_example.oracle()
     knap = cover_example.knapsacks()
-    rows = cover_example.leader_rows()
+    leader = cover_example.leader_budget()
     dom = cover_example.dominating_lists()
     got = master.separate_fractional(
-        worc, knap, rows, cfg("I-S1"), dom, 0.0, [0.5, 0.5, 0.5]
+        worc, knap, leader, cfg("I-S1"), dom, 0.0, [0.5, 0.5, 0.5]
     )
     assert len(got) == 1
     cut = got[0]
@@ -149,32 +151,36 @@ def test_separate_fractional_examples(cover_example):
 
     # no violation once w* already matches the candidate bound
     got = master.separate_fractional(
-        worc, knap, rows, cfg("I-S1"), dom, 24.0, [0.5, 0.5, 0.5]
+        worc, knap, leader, cfg("I-S1"), dom, 24.0, [0.5, 0.5, 0.5]
     )
     assert got == []
 
 
+def _dominance_pairs(inst):
+    return master.dominance_preprocess(inst.dominating_lists(), inst.leader_budget())
+
+
 def test_dominance_preprocess_directions(bipartite_example):
-    pairs = master.dominance_preprocess(bipartite_example, bipartite_example.oracle())
+    pairs = _dominance_pairs(bipartite_example)
     assert (2, 0) in pairs  # item 2 superior to item 0: x_2 >= x_0
     assert all(i != j for i, j in pairs)
 
     nested = WmcigInstance(
         profits=(3, 4), cover=(frozenset({0}), frozenset({0, 1})), B=1, k=1
     )
-    assert master.dominance_preprocess(nested, nested.oracle()) == [(1, 0)]
+    assert _dominance_pairs(nested) == [(1, 0)]
 
     disjoint = WmcigInstance(
         profits=(3, 4), cover=(frozenset({0}), frozenset({1})), B=1, k=1
     )
-    assert master.dominance_preprocess(disjoint, disjoint.oracle()) == []
+    assert _dominance_pairs(disjoint) == []
 
 
 def test_dominance_preprocess_keeps_one_direction():
     twins = WmcigInstance(
         profits=(3,), cover=(frozenset({0}), frozenset({0})), B=1, k=1
     )
-    pairs = master.dominance_preprocess(twins, twins.oracle())
+    pairs = _dominance_pairs(twins)
     assert pairs == [(0, 1)]  # both directions hold; min-id >= max-id kept
 
 
@@ -278,16 +284,16 @@ def test_all_added_cuts_are_globally_valid():
     solver = master.InterdictionSolver(inst, orc, cfg("ILDAE-S2"))
     solver.solve()
     table = bruteforce.brute_force_solve(inst, orc, with_table=True).table
-    wcol = solver.wcol
+    w = solver.w
     cut_rows = [
         (coefs, rhs)
         for coefs, rhs in zip(solver.model.rows, solver.model.rhs)
-        if coefs.get(wcol) == -1.0
+        if coefs.get(w) == -1.0
     ]
     assert cut_rows
     for coefs, rhs in cut_rows:
         for x, phi_val in table.items():
-            lhs = sum(c * x[j] for j, c in coefs.items() if j != wcol)
+            lhs = sum(c * x[j] for j, c in coefs.items() if j != w)
             # row is  sum g_j x_j - w <= -c0  ==>  c0 + sum g_j x_j <= w=phi(x)
             assert lhs - rhs <= phi_val + 1e-9
 
@@ -301,3 +307,15 @@ def test_solve_is_deterministic():
     assert a.nodes == b.nodes
     assert a.cuts_by_family == b.cuts_by_family
     assert a.best_x == b.best_x
+
+
+def test_limited_run_reports_the_least_open_bound():
+    """A stopped run's lower bound is the least bound among its open nodes
+    (capped by the incumbent), not the largest bound popped so far."""
+    inst = gen_wmcig(30, 2, 0.1, 1)
+    solver = master.InterdictionSolver(inst, inst.oracle(), cfg("I-S1", node_limit=5))
+    res = solver.solve()
+    assert res.status == "node_limit" and res.nodes == 5
+    assert res.lower_bound == pytest.approx(709.1783, abs=1e-4)
+    assert res.lower_bound <= 992.0  # the optimum, which I-S1 proves without a limit
+    assert res.lower_bound == res.events[-1]["lb"]

@@ -43,16 +43,16 @@ def test_oracle_matches_closed_form(bipartite_example):
 
 
 def test_wmcig_superiority(cover_example):
-    dom = problems.wmcig_superiority(cover_example)
+    dom = cover_example.dominating_lists()
     assert dom.zero_replacement_gain
     assert dom.candidates(0) == (2,)  # site 2's coverage contains site 0's
     assert dom.candidates(1) == ()
     disjoint = WmcigInstance(profits=(1, 1), cover=(frozenset({0}), frozenset({1})), B=1, k=1)
-    assert dict(problems.wmcig_superiority(disjoint).lists) == {}
+    assert dict(disjoint.dominating_lists().lists) == {}
 
 
 def test_biig_superiority(bipartite_example):
-    dom = problems.biig_superiority(bipartite_example)
+    dom = bipartite_example.dominating_lists()
     assert not dom.zero_replacement_gain
     assert 2 in dom.candidates(0)  # neighbors {0} within {0,2}, prob 0.4 >= 0.3
     assert 1 in dom.candidates(0)
@@ -140,6 +140,11 @@ MALFORMED = {
     "missing profit line": ("WMCIG 2 2 1 1\nC 0 1 0\nC 1 1 1\n", 2),
     "missing arc count line": ("BIIG 2 2 1 1\nP 0.5 0.5\n0 1\n", 3),
     "short arc list": ("# gen\nBIIG 2 2 1 1\nP 0.5 0.5\nA 3\n0 0\n\n1 1\n", 7),
+    "zero profit": ("WMCIG 2 2 1 1\nP 0 5\nC 0 1 0\nC 1 1 1\n", 2),
+    "probability above 1": ("# gen\nBIIG 2 2 1 1\nP 0.5 1.5\nA 0\n", 3),
+    "negative budget": ("WMCIG 2 2 -1 1\nP 5 9\nC 0 1 0\nC 1 1 1\n", 1),
+    "negative leader budget": ("BIIG 2 2 1 -1\nP 0.5 0.5\nA 0\n", 1),
+    "no items": ("\nWMCIG 0 2 1 1\nP 5 9\n", 2),
 }
 
 
