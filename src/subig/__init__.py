@@ -4,7 +4,6 @@ submodular follower objectives, plus the two built-in game models."""
 from .core import (
     CheckReport,
     KnapsackSystem,
-    ModularOracle,
     SubmodularOracle,
     check_submodular_monotone,
 )
@@ -13,7 +12,6 @@ from .cuts import (
     DominatingLists,
     alternative_sic,
     basic_sic,
-    cut_violation,
     default_ordering,
     improved_sic,
     lift_sic,

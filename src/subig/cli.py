@@ -153,6 +153,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     paths: List[str] = []
     configs: List[master.SolverConfig] = []
     with open(args.manifest, encoding="utf-8") as fh:
@@ -171,8 +173,10 @@ def cmd_bench(args) -> int:
                 raise ValueError(f"line {lineno}: {exc}") from None
             paths.append(parts[0])
             configs.append(config)
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    # the pool starts all its workers at the first submit: never more than runs
+    workers = min(args.threads, len(paths))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_solve_one, paths, configs))
     else:
         records = [_solve_one(p, c) for p, c in zip(paths, configs)]

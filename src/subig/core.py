@@ -9,7 +9,7 @@ construction and safe to share, evaluators are single-owner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -118,35 +118,6 @@ class SubmodularOracle:
         return self._rho_full
 
 
-class ModularOracle(SubmodularOracle):
-    """Additive function z(S) = sum of per-item weights; the modular baseline."""
-
-    def __init__(self, weights: Sequence[float]):
-        super().__init__()
-        self.weights = np.asarray(weights, dtype=float)
-        if np.any(self.weights < 0):
-            raise ValueError("modular weights must be non-negative")
-        self.n = len(self.weights)
-
-    def scratch(self) -> "_ModularEvaluator":
-        return _ModularEvaluator(self)
-
-
-class _ModularEvaluator(Evaluator):
-    def add(self, i):
-        if i not in self.members:
-            self.members.add(i)
-            self._value += self._oracle.weights[i]
-
-    def remove(self, i):
-        if i in self.members:
-            self.members.discard(i)
-            self._value -= self._oracle.weights[i]
-
-    def gain(self, i):
-        return 0.0 if i in self.members else float(self._oracle.weights[i])
-
-
 @dataclass
 class CheckReport:
     trials: int
@@ -239,6 +210,11 @@ class KnapsackSystem:
 
     def fits_weight(self, weight: np.ndarray) -> bool:
         return bool(np.all(weight <= self._limits))
+
+    def fitting(self, weight: np.ndarray) -> np.ndarray:
+        """Per item: whether it, added to a set of this weight, still fits.
+        One mask, with the same arithmetic as one fit test per item."""
+        return np.all(weight[:, None] + self._matrix <= self._limits[:, None], axis=0)
 
     def item_cost(self, i: int) -> np.ndarray:
         """Column i of the cost array: a read-only view, not a copy."""

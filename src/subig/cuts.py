@@ -67,17 +67,11 @@ def default_ordering(oracle: SubmodularOracle, s_hat: Iterable[int]) -> Tuple[in
     return tuple(sorted(set(s_hat), key=lambda i: (-rho0[i], i)))
 
 
-def basic_sic(
-    oracle: SubmodularOracle,
-    s_hat: Iterable[int],
-    knapsacks: KnapsackSystem | None = None,
-) -> Cut:
+def basic_sic(oracle: SubmodularOracle, s_hat: Iterable[int]) -> Cut:
     """w >= z(S) - sum_{i in S} rho_i(empty) x_i."""
     members = sorted(set(s_hat))
     for i in members:
         oracle.check_item(i)
-    if knapsacks is not None and not knapsacks.fits(members):
-        raise ValueError("generating follower set violates a knapsack constraint")
     rho0 = oracle.rho_empty()
     return Cut(
         c0=float(oracle.value(members)),
@@ -88,18 +82,13 @@ def basic_sic(
 
 
 def improved_sic(
-    oracle: SubmodularOracle,
-    s_hat: Iterable[int],
-    ordering: Sequence[int],
-    knapsacks: KnapsackSystem | None = None,
+    oracle: SubmodularOracle, s_hat: Iterable[int], ordering: Sequence[int]
 ) -> Cut:
     """w >= z(S) - sum_t rho_{i_t}(prefix_t) x_{i_t} along the given ordering."""
     members = set(s_hat)
     ordering = tuple(ordering)
     if len(ordering) != len(members) or set(ordering) != members:
         raise ValueError("ordering must be a permutation of the follower set")
-    if knapsacks is not None and not knapsacks.fits(members):
-        raise ValueError("generating follower set violates a knapsack constraint")
     ev = oracle.scratch()
     g = {}
     for i in ordering:
@@ -205,11 +194,6 @@ def alternative_sic(
     return Cut(
         c0=base.c0, g=g, family=ALTERNATIVE, source=base.source, pairs=tuple(pairs)
     )
-
-
-def cut_violation(cut: Cut, w_star: float, x_star: Sequence[float]) -> float:
-    """rhs(x*) - w*; positive means the cut is violated at (w*, x*)."""
-    return cut.rhs(x_star) - w_star
 
 
 def relative_violation(cut: Cut, w_star: float, x_star: Sequence[float]) -> float:

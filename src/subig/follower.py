@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -37,15 +37,22 @@ class SepResult:
     status: str
 
 
+def _gain_score(i: int, gain: float) -> float:
+    return gain
+
+
 def greedy(
     oracle: SubmodularOracle,
     ground_subset: Iterable[int],
     knapsacks: KnapsackSystem,
     seed_set: Iterable[int] = (),
     seed_order: Sequence[int] = (),
+    score: Callable[[int, float], float] = _gain_score,
 ) -> Tuple[frozenset, Tuple[int, ...]]:
-    """Repeatedly add the feasible item with the largest value until nothing
-    fits; the returned order extends the seed order by appended picks."""
+    """Repeatedly add the fitting item with the largest ``score(i, gain)``,
+    by default the gain itself (ties within 1e-12 to the lowest id), until
+    nothing fits or the best score is negative; the returned order extends
+    the seed order by appended picks."""
     seed = set(seed_set)
     order = list(seed_order) if seed_order else sorted(seed)
     if set(order) != seed or len(order) != len(seed):
@@ -58,16 +65,15 @@ def greedy(
     weight = knapsacks.weight(seed)
     current = set(seed)
     while True:
+        fit = knapsacks.fitting(weight)
         best = None
         for i in ground:
-            if i in current:
+            if i in current or not fit[i]:
                 continue
-            if not knapsacks.fits_weight(weight + knapsacks.item_cost(i)):
-                continue
-            g = ev.gain(i)
-            if best is None or g > best[0] + 1e-12:
-                best = (g, i)
-        if best is None:
+            value = score(i, ev.gain(i))
+            if best is None or value > best[0] + 1e-12:
+                best = (value, i)
+        if best is None or best[0] < 0.0:
             break
         _, pick = best
         ev.add(pick)

@@ -138,10 +138,12 @@ def _rounding_ground_set(x_star: Sequence[float], leader: KnapsackSystem) -> Lis
     n = len(x_star)
     ones = [i for i in range(n) if x_star[i] >= 1.0 - INT_TOL]
     weight = leader.weight(ones)
+    fit = leader.fitting(weight)
     for i in sorted(set(range(n)).difference(ones), key=lambda i: (-x_star[i], i)):
-        if leader.fits_weight(weight + leader.item_cost(i)):
+        if fit[i]:
             ones.append(i)
             weight += leader.item_cost(i)
+            fit = leader.fitting(weight)
     return [i for i in range(n) if i not in ones]
 
 
@@ -156,33 +158,12 @@ def fractional_candidate(
     """Heuristic generating set and ordering for a fractional leader point."""
     n = oracle.n
     if strategy == "S3":
-        rho0 = oracle.rho_empty()
-        ev = oracle.scratch()
-        weight = np.zeros(knapsacks.L)
-        chosen: List[int] = []
-        members: set = set()
-        while True:
-            best = None
-            for i in range(n):
-                if i in members:
-                    continue
-                if not knapsacks.fits_weight(weight + knapsacks.item_cost(i)):
-                    continue
-                g = ev.gain(i)
-                if cut_family == "improved":
-                    score = g * (1.0 - x_star[i])
-                else:
-                    score = g - float(rho0[i]) * x_star[i]
-                if best is None or score > best[0] + 1e-12:
-                    best = (score, i)
-            if best is None or best[0] < 0.0:
-                break
-            _, pick = best
-            ev.add(pick)
-            members.add(pick)
-            weight += knapsacks.item_cost(pick)
-            chosen.append(pick)
-        return frozenset(members), tuple(chosen)
+        if cut_family == "improved":
+            score = lambda i, g: g * (1.0 - x_star[i])
+        else:
+            rho0 = oracle.rho_empty()
+            score = lambda i, g: g - float(rho0[i]) * x_star[i]
+        return follower.greedy(oracle, range(n), knapsacks, score=score)
     if strategy == "S1":
         ground = [i for i in range(n) if x_star[i] <= INT_TOL]
     elif strategy == "S2":

@@ -401,7 +401,7 @@ def parse_instance(text: str, name: str = "instance"):
         no, profits = take("profit line", "P", count=m)
         if any(p < 1 for p in profits):
             raise ValueError(f"line {no}: customer profits must be >= 1")
-        cover: List[frozenset | None] = [None] * n
+        cover: Dict[int, frozenset] = {}
         for _ in range(n):
             no, vals = take("coverage line", "C")
             if len(vals) < 2 or len(vals) != 2 + vals[1]:
@@ -409,12 +409,14 @@ def parse_instance(text: str, name: str = "instance"):
             i, js = vals[0], vals[2:]
             if not 0 <= i < n:
                 raise ValueError(f"line {no}: site {i} outside 0..{n - 1}")
-            if cover[i] is not None:
+            if i in cover:
                 raise ValueError(f"line {no}: second coverage line for site {i}")
             if len(set(js)) != len(js) or not all(0 <= j < m for j in js):
                 raise ValueError(f"line {no}: customers must be distinct ids in 0..{m - 1}")
             cover[i] = frozenset(js)
-        inst = WmcigInstance(profits=tuple(profits), cover=tuple(cover), B=B, k=k, name=name)
+        inst = WmcigInstance(
+            profits=tuple(profits), cover=tuple(cover[i] for i in range(n)), B=B, k=k, name=name
+        )
     else:
         no, probs = take("probability line", "P", float, count=n)
         if any(not 0.0 <= p <= 1.0 for p in probs):

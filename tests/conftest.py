@@ -1,8 +1,40 @@
 import itertools
+from typing import Sequence
 
+import numpy as np
 import pytest
 
+from subig.core import Evaluator, KnapsackSystem, SubmodularOracle
 from subig.problems import BiigInstance, WmcigInstance
+
+
+class ModularOracle(SubmodularOracle):
+    """Additive function z(S) = sum of per-item weights; the modular baseline."""
+
+    def __init__(self, weights: Sequence[float]):
+        super().__init__()
+        self.weights = np.asarray(weights, dtype=float)
+        if np.any(self.weights < 0):
+            raise ValueError("modular weights must be non-negative")
+        self.n = len(self.weights)
+
+    def scratch(self) -> "_ModularEvaluator":
+        return _ModularEvaluator(self)
+
+
+class _ModularEvaluator(Evaluator):
+    def add(self, i):
+        if i not in self.members:
+            self.members.add(i)
+            self._value += self._oracle.weights[i]
+
+    def remove(self, i):
+        if i in self.members:
+            self.members.discard(i)
+            self._value -= self._oracle.weights[i]
+
+    def gain(self, i):
+        return 0.0 if i in self.members else float(self._oracle.weights[i])
 
 
 @pytest.fixture
@@ -44,3 +76,11 @@ def leader_feasible_vectors(n: int, k: int):
 
 def all_binary_vectors(n: int):
     return list(itertools.product((0, 1), repeat=n))
+
+
+def random_knapsack(rng: np.random.Generator, n: int) -> KnapsackSystem:
+    """One to three rows of quarter-unit costs in [0, 4.75], zeros included,
+    each row capped at 35 % of its total."""
+    rows = int(rng.integers(1, 4))
+    costs = tuple(tuple(float(c) / 4 for c in rng.integers(0, 20, n)) for _ in range(rows))
+    return KnapsackSystem(costs=costs, caps=tuple(0.35 * sum(row) for row in costs))

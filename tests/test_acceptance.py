@@ -59,7 +59,7 @@ def test_criterion_1_worked_example_regression():
 
     binst = bipartite_instance()
     borc = binst.oracle()
-    basic_b = cuts.basic_sic(borc, {0, 1}, binst.knapsacks())
+    basic_b = cuts.basic_sic(borc, {0, 1})
     ok &= abs(basic_b.c0 - 1.15) <= tol
     ok &= abs(basic_b.g[0] + 0.3) <= tol and abs(basic_b.g[1] + 1.0) <= tol
     improved_b = cuts.improved_sic(borc, {0, 1}, (0, 1))
@@ -71,7 +71,7 @@ def test_criterion_1_worked_example_regression():
 
     winst = cover_instance()
     worc = winst.oracle()
-    basic_w = cuts.basic_sic(worc, {0, 1}, winst.knapsacks())
+    basic_w = cuts.basic_sic(worc, {0, 1})
     ok &= abs(basic_w.c0 - 20.0) <= tol
     ok &= abs(basic_w.g[0] + 11.0) <= tol and abs(basic_w.g[1] + 14.0) <= tol
     imp_12 = cuts.improved_sic(worc, {0, 1}, (0, 1))

@@ -77,6 +77,46 @@ def test_bench_manifest_roundtrip(tmp_path):
     assert all(len(v) == 1 for v in by_inst.values())
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("threads, pools", [(5000, [2]), (2, [2]), (1, []), (0, None), (-3, None)])
+def test_bench_threads_caps_the_pool_at_the_run_count(
+    tmp_path, capsys, monkeypatch, cover_example, threads, pools
+):
+    inst = tmp_path / "t.wmcig"
+    problems.write_instance(cover_example, str(inst))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{inst} B-S1\n{inst} I-S2\n")
+    out_csv = tmp_path / "bench.csv"
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    rc = cli.main(["bench", str(manifest), "--out", str(out_csv), "--threads", str(threads)])
+    if pools is None:
+        assert rc == 2
+        assert "error: --threads must be at least 1" in capsys.readouterr().err
+        assert _RecordingPool.sizes == [] and not out_csv.exists()
+    else:
+        assert rc == 0
+        assert _RecordingPool.sizes == pools
+        assert len(out_csv.read_text().splitlines()) == 3
+
+
 def test_export_miblp_cli(tmp_path, cover_example):
     inst_path = tmp_path / "e.wmcig"
     problems.write_instance(cover_example, str(inst_path))
@@ -111,6 +151,7 @@ def test_missing_file_exits_1(tmp_path, capsys):
         ("WMCIG 3 4 2 1\n", 1),
         ("WMCIG 2 2 1 1\nP 5 9\nC 0 1 0\nC 0 1 1\n", 4),
         ("WMCIG 2 2 1 1\nP 0 9\nC 0 1 0\nC 1 1 1\n", 2),
+        ("WMCIG 99999999999999999999 0 0 0\nP\n", 2),
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, text, line):

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subig import core
-from subig.core import KnapsackSystem, ModularOracle, SubmodularOracle
+from subig.core import KnapsackSystem, SubmodularOracle
 from subig.problems import gen_wmcig
+
+from conftest import ModularOracle, random_knapsack
 
 
 class SquaredSizeOracle(SubmodularOracle):
@@ -120,6 +122,25 @@ def test_knapsack_validation():
     ks = KnapsackSystem.cardinality(3, 2)
     assert ks.fits({0, 1}) and not ks.fits({0, 1, 2})
     assert ks.cost_le(0, 1)
+
+
+def test_fitting_matches_the_per_item_fit_test():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        knap = random_knapsack(rng, n)
+        weights = [
+            knap.weight(()),
+            np.asarray(knap.caps, dtype=float),  # full: only zero-cost items fit
+            knap.weight(range(n)),
+        ]
+        weights += [knap.weight(rng.choice(n, size=min(k, n), replace=False)) for k in (1, 2, 4)]
+        for weight in weights:
+            mask = knap.fitting(weight)
+            assert mask.dtype == bool and mask.shape == (n,)
+            assert mask.tolist() == [
+                knap.fits_weight(weight + knap.item_cost(i)) for i in range(n)
+            ]
 
 
 def test_scratch_matches_value_after_churn(bipartite_example):

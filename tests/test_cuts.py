@@ -8,12 +8,12 @@ from subig.bruteforce import brute_force_phi
 from subig.cuts import DominatingLists
 from subig.problems import gen_wmcig
 
-from conftest import all_binary_vectors
+from conftest import ModularOracle, all_binary_vectors
 
 
 def test_basic_sic_examples(cover_example, bipartite_example):
     worc = cover_example.oracle()
-    cut = cuts.basic_sic(worc, {0, 1}, cover_example.knapsacks())
+    cut = cuts.basic_sic(worc, {0, 1})
     assert cut.c0 == 20.0 and cut.g == {0: -11.0, 1: -14.0}
     assert cut.family == "basic"
     empty = cuts.basic_sic(worc, set())
@@ -23,11 +23,6 @@ def test_basic_sic_examples(cover_example, bipartite_example):
     assert bcut.c0 == pytest.approx(1.15, abs=1e-9)
     assert bcut.g[0] == pytest.approx(-0.3, abs=1e-9)
     assert bcut.g[1] == pytest.approx(-1.0, abs=1e-9)
-
-
-def test_basic_sic_rejects_infeasible_set(cover_example):
-    with pytest.raises(ValueError):
-        cuts.basic_sic(cover_example.oracle(), {0, 1, 2}, cover_example.knapsacks())
 
 
 def test_improved_sic_examples(cover_example, bipartite_example):
@@ -55,8 +50,6 @@ def test_default_ordering(cover_example):
     assert cuts.default_ordering(orc, {2}) == (2,)
     assert cuts.default_ordering(orc, {0, 1}) == (1, 0)  # gains 11 vs 14
     # exact ties fall back to ascending id
-    from subig.core import ModularOracle
-
     mod = ModularOracle((5.0, 1.0, 5.0, 2.0))
     assert cuts.default_ordering(mod, {2, 0}) == (0, 2)
 
@@ -103,16 +96,16 @@ def test_alternative_sic_example(cover_example):
     assert same is base
 
 
-def test_cut_violation(cover_example):
+def test_relative_violation(cover_example):
     worc = cover_example.oracle()
     basic = cuts.basic_sic(worc, {0, 1})
-    assert cuts.cut_violation(basic, basic.rhs([0, 1, 0]), [0, 1, 0]) == 0.0
-    assert cuts.cut_violation(basic, 0.0, [0, 0, 0]) == 20.0
+    assert cuts.relative_violation(basic, basic.rhs([0, 1, 0]), [0, 1, 0]) == 0.0
+    assert cuts.relative_violation(basic, 0.0, [0, 0, 0]) == pytest.approx(20.0 / 20.1)
     base = cuts.improved_sic(worc, {0, 1}, (0, 1))
     alt = cuts.alternative_sic(worc, {0, 1}, base, [0.5, 0.0, 0.0], cover_example.knapsacks())
-    assert cuts.cut_violation(alt, 15.0, [1, 0, 0]) == pytest.approx(4.0)
-    rel = cuts.relative_violation(basic, 0.0, [0, 0, 0])
-    assert rel == pytest.approx(20.0 / 20.1)
+    assert cuts.relative_violation(alt, 15.0, [1, 0, 0]) == pytest.approx(4.0 / 19.1)
+    # satisfied cuts read negative
+    assert cuts.relative_violation(basic, 25.0, [0, 0, 0]) == pytest.approx(-5.0 / 20.1)
 
 
 def test_canonical_folding_is_exact(cover_example):

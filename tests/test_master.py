@@ -8,6 +8,8 @@ from subig.cuts import DominatingLists
 from subig.master import SolverConfig
 from subig.problems import WmcigInstance, gen_biig, gen_wmcig
 
+from conftest import random_knapsack
+
 
 def cfg(setting, **kw):
     return SolverConfig.from_setting(setting, **kw)
@@ -134,6 +136,55 @@ def test_fractional_candidate_s3_basic_stops_on_negative_score(cover_example):
     leader = cover_example.leader_budget()
     s, order = master.fractional_candidate(worc, [1.0, 1.0, 1.0], "S3", "basic", knap, leader)
     assert len(s) <= 2
+
+
+def _s3_reference(oracle, x_star, cut_family, knapsacks):
+    """S3 as a loop of its own that tests each candidate's fit separately."""
+    rho0 = oracle.rho_empty()
+    ev = oracle.scratch()
+    weight = np.zeros(knapsacks.L)
+    chosen = []
+    while True:
+        best = None
+        for i in range(oracle.n):
+            if i in chosen or not knapsacks.fits_weight(weight + knapsacks.item_cost(i)):
+                continue
+            g = ev.gain(i)
+            if cut_family == "improved":
+                score = g * (1.0 - x_star[i])
+            else:
+                score = g - float(rho0[i]) * x_star[i]
+            if best is None or score > best[0] + 1e-12:
+                best = (score, i)
+        if best is None or best[0] < 0.0:
+            return tuple(chosen)
+        chosen.append(best[1])
+        ev.add(best[1])
+        weight += knapsacks.item_cost(best[1])
+
+
+def test_fractional_candidate_s3_matches_a_per_candidate_loop():
+    rng = np.random.default_rng(29)
+    picks = 0
+    for trial in range(16):
+        if trial % 2 == 0:
+            inst = gen_wmcig(10, 2, 0.2, 700 + trial)
+        else:
+            inst = gen_biig(10, 2, 3, 2, 0.25, 700 + trial)
+        orc = inst.oracle()
+        knap = random_knapsack(rng, orc.n)
+        x = rng.random(orc.n)
+        x[rng.random(orc.n) < 0.25] = 0.0
+        x[rng.random(orc.n) < 0.15] = 1.0
+        x_star = x.tolist()
+        for family in ("improved", "basic"):
+            expected = _s3_reference(orc, x_star, family, knap)
+            s, order = master.fractional_candidate(
+                orc, x_star, "S3", family, knap, inst.leader_budget()
+            )
+            assert order == expected and s == frozenset(expected)
+            picks += len(order)
+    assert picks > 0
 
 
 def test_separate_fractional_examples(cover_example):

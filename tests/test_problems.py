@@ -1,7 +1,9 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from subig import core, problems
 from subig.problems import (
@@ -131,6 +133,9 @@ def test_parse_rejects_garbage():
         parse_instance("")
 
 
+# more sites than memory could hold: the file's end must be found first
+HUGE_HEADER = "WMCIG 99999999999999999999 0 0 0\nP\n"
+
 MALFORMED = {
     "wmcig header only": ("WMCIG 3 4 2 1\n", 1),
     "biig header only": ("BIIG 3 4 2 1\n", 1),
@@ -145,6 +150,7 @@ MALFORMED = {
     "negative budget": ("WMCIG 2 2 -1 1\nP 5 9\nC 0 1 0\nC 1 1 1\n", 1),
     "negative leader budget": ("BIIG 2 2 1 -1\nP 0.5 0.5\nA 0\n", 1),
     "no items": ("\nWMCIG 0 2 1 1\nP 5 9\n", 2),
+    "huge site count": (HUGE_HEADER, 2),
 }
 
 
@@ -153,6 +159,49 @@ def test_parse_names_the_line_at_fault(case):
     text, line = MALFORMED[case]
     with pytest.raises(ValueError, match=rf"^line {line}: "):
         parse_instance(text)
+
+
+_VALID = (
+    "WMCIG 3 4 2 1\nP 5 9 6 4\nC 0 2 0 2\nC 1 2 0 1\nC 2 3 0 2 3\n",
+    "BIIG 3 4 2 1\nP 0.3 0.5 0.4\nA 3\n0 0\n1 1\n2 2\n",
+)
+_TOKENS = st.one_of(
+    st.sampled_from(["WMCIG", "BIIG", "biig", "P", "C", "A", "#", "nan", "inf", "1e400", "0.5"]),
+    st.integers(-2, 5).map(str),
+    st.integers(-(10**30), 10**30).map(str),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _instance_texts(draw):
+    """A valid file with some tokens replaced, dropped or added, or lines of
+    random tokens."""
+    if draw(st.booleans()):
+        lines = [ln.split() for ln in draw(st.sampled_from(_VALID)).splitlines()]
+        for _ in range(draw(st.integers(0, 3))):
+            row = lines[draw(st.integers(0, len(lines) - 1))]
+            at = draw(st.integers(0, len(row)))
+            edit = draw(st.sampled_from(["replace", "drop", "insert"]))
+            if edit == "insert" or at == len(row):
+                row.insert(at, draw(_TOKENS))
+            elif edit == "replace":
+                row[at] = draw(_TOKENS)
+            else:
+                del row[at]
+    else:
+        lines = draw(st.lists(st.lists(_TOKENS, max_size=6), max_size=8))
+    return "\n".join(" ".join(row) for row in lines)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(text=st.one_of(_instance_texts(), st.text()))
+@example(text=HUGE_HEADER)
+def test_parse_accepts_or_names_the_line(text):
+    try:
+        parse_instance(text)
+    except ValueError as exc:
+        assert re.match(r"line \d+: ", str(exc)) or str(exc) == "empty instance file"
 
 
 def test_export_miblp_row_counts(cover_example):
