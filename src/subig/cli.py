@@ -15,18 +15,18 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, get_type_hints
 
 from . import bruteforce, master, problems
+from .lp import SolverError
 
-# how a CSV cell is read back for each declared RunRecord field type
-_CELL_PARSERS = {
-    int: int,
-    float: float,
-    str: str,
-    Optional[float]: lambda cell: float(cell) if cell else None,
-}
+# how a non-empty CSV cell is read back for each declared RunRecord field
+# type; an empty cell reads as None
+_CELL_PARSERS = {int: int, float: float, str: str, Optional[float]: float}
 
 
 @dataclasses.dataclass
 class RunRecord:
+    """One run's CSV row.  A bench entry that failed (see ``failed``) keeps
+    its path, setting and ``status="error"``, and None everywhere else."""
+
     instance: str
     family: str
     n: int
@@ -62,8 +62,16 @@ class RunRecord:
     @classmethod
     def from_row(cls, row: Sequence[str]) -> "RunRecord":
         types = get_type_hints(cls)
-        kwargs = {col: _CELL_PARSERS[types[col]](val) for col, val in zip(RUN_COLUMNS, row)}
+        kwargs = {
+            col: _CELL_PARSERS[types[col]](val) if val else None
+            for col, val in zip(RUN_COLUMNS, row)
+        }
         return cls(**kwargs)
+
+    @classmethod
+    def failed(cls, path: str, setting: str) -> "RunRecord":
+        return cls(**{**dict.fromkeys(RUN_COLUMNS), "instance": path, "setting": setting,
+                      "status": "error"})
 
 
 RUN_COLUMNS = [f.name for f in dataclasses.fields(RunRecord)]
@@ -117,6 +125,17 @@ def _solve_one(path: str, config: master.SolverConfig) -> RunRecord:
     inst = problems.load_instance(path)
     result = master.solve(inst, inst.oracle(), config)
     return make_record(inst, config.setting(), result)
+
+
+def _bench_one(path: str, config: master.SolverConfig) -> RunRecord:
+    """``_solve_one`` for a bench entry: an entry that cannot be read or
+    solved is reported on stderr and recorded as failed, so the other
+    entries still run."""
+    try:
+        return _solve_one(path, config)
+    except (SolverError, OSError, ValueError) as exc:
+        print(f"error: {path} {config.setting()}: {exc}", file=sys.stderr)
+        return RunRecord.failed(path, config.setting())
 
 
 def cmd_solve(args) -> int:
@@ -177,16 +196,17 @@ def cmd_bench(args) -> int:
     workers = min(args.threads, len(paths))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_solve_one, paths, configs))
+            records = list(pool.map(_bench_one, paths, configs))
     else:
-        records = [_solve_one(p, c) for p, c in zip(paths, configs)]
+        records = [_bench_one(p, c) for p, c in zip(paths, configs)]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RUN_COLUMNS)
         for rec in records:
             writer.writerow(rec.row())
-    print(f"wrote {args.out} ({len(records)} runs)")
-    return 0
+    errors = sum(rec.status == "error" for rec in records)
+    print(f"wrote {args.out} ({len(records)} runs, {errors} failed)")
+    return 1 if errors else 0
 
 
 def cmd_export_miblp(args) -> int:

@@ -5,15 +5,23 @@ phases: artificials repair rows whose slack starts negative, then the real
 objective is optimized.  Pivoting is Dantzig with deterministic tie-breaks,
 falling back to Bland's rule after 1000 degenerate steps, so identical
 models always produce identical runs.
+
+Each pivot factorizes the basis once with LAPACK's ``dgetrf`` and solves
+with ``dgetrs`` three times: the routines ``scipy.linalg.lu_factor`` and
+``lu_solve`` wrap, called directly, so the pivots are bit-identical but the
+wrappers' per-call finite checks are gone.  Those checks live at model
+build instead: ``add_row`` and ``add_var`` reject non-finite data, and
+``solve_lp`` raises ``SolverError`` on a non-finite optimal result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-9
@@ -64,8 +72,12 @@ class LpModel:
         return len(self.rows)
 
     def add_var(self, lb: float = 0.0, ub: float = 1.0, obj: float = 0.0) -> int:
-        if lb > ub:
-            raise ValueError("variable lower bound exceeds upper bound")
+        if not math.isfinite(obj):
+            raise ValueError(f"variable objective {obj} is not finite")
+        # NaN fails the comparison; an infinite bound on the wrong side leaves
+        # no finite value in the range
+        if not lb <= ub or lb == math.inf or ub == -math.inf:
+            raise ValueError(f"variable bounds [{lb}, {ub}] hold no finite value")
         self.lb.append(float(lb))
         self.ub.append(float(ub))
         self.obj.append(float(obj))
@@ -80,6 +92,8 @@ class LpModel:
         for j in coefs:
             self._check_var(j)
         row = {j: float(c) for j, c in coefs.items() if c != 0.0}
+        if not (math.isfinite(rhs) and all(map(math.isfinite, row.values()))):
+            raise ValueError("row coefficients and right-hand side must be finite")
         key = (tuple(sorted(row.items())), float(rhs))
         if key in self._row_keys:
             return False
@@ -101,6 +115,8 @@ def solve_lp(model: LpModel, fixed: Optional[Dict[int, float]] = None) -> LpResu
     ub = np.array(model.ub, dtype=float)
     for j, value in (fixed or {}).items():
         model._check_var(j)
+        if math.isnan(value):
+            raise ValueError(f"NaN fixing of variable {j}")
         lb[j], ub[j] = max(lb[j], value), min(ub[j], value)
     if np.any(lb > ub):  # a fixing outside its column's bounds
         return LpResult(INFEASIBLE, np.zeros(n), 0.0)
@@ -147,7 +163,28 @@ def solve_lp(model: LpModel, fixed: Optional[Dict[int, float]] = None) -> LpResu
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, x[:n].copy(), -np.inf * sign)
     obj = sign * float(c2 @ x)
+    if not (math.isfinite(obj) and np.isfinite(x).all()):
+        raise SolverError("optimal solution is not finite")
     return LpResult(OPTIMAL, x[:n].copy(), obj)
+
+
+def lu_factor(B) -> Tuple[np.ndarray, np.ndarray]:
+    """LU factors of a square basis matrix: ``dgetrf``, bit-identical to
+    ``scipy.linalg.lu_factor`` (0-based pivots).  A 0x0 basis, which LAPACK
+    rejects, factors to empty arrays; an exactly singular one raises."""
+    if np.size(B) == 0:
+        return np.empty((0, 0)), np.empty(0, dtype=np.int32)
+    lu, piv, info = dgetrf(B)
+    if info != 0:
+        raise SolverError("singular basis matrix")
+    return lu, piv
+
+
+def lu_solve(lu: Tuple[np.ndarray, np.ndarray], b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve B v = b (``trans=1``: B^T v = b) from ``lu_factor(B)``."""
+    if b.size == 0:
+        return np.empty(0)
+    return dgetrs(lu[0], lu[1], b, trans=trans)[0]
 
 
 def _simplex(A, b, low, up, c, basis, x, stat) -> str:
@@ -162,11 +199,7 @@ def _simplex(A, b, low, up, c, basis, x, stat) -> str:
     d_tol = OPT_TOL * max(1.0, float(np.max(np.abs(c))) if total else 1.0)
 
     for _ in range(MAX_ITERATIONS):
-        B = A[:, basis]
-        try:
-            lu = lu_factor(B)
-        except Exception as exc:  # pragma: no cover - singular basis
-            raise SolverError("singular basis matrix") from exc
+        lu = lu_factor(A[:, basis])
         nb = ~in_basis
         rhs_nb = b - A[:, nb] @ x[nb]
         xb = lu_solve(lu, rhs_nb)

@@ -77,6 +77,24 @@ def test_bench_manifest_roundtrip(tmp_path):
     assert all(len(v) == 1 for v in by_inst.values())
 
 
+def test_bench_records_a_failing_entry_and_exits_1(tmp_path, capsys, cover_example):
+    good = tmp_path / "good.wmcig"
+    problems.write_instance(cover_example, str(good))
+    missing = tmp_path / "missing.wmcig"
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{missing} B-S1\n{good} I-S2\n")
+    out_csv = tmp_path / "bench.csv"
+    assert cli.main(["bench", str(manifest), "--out", str(out_csv)]) == 1
+    assert f"error: {missing} B-S1: " in capsys.readouterr().err
+    with open(out_csv) as fh:
+        rows = list(csv.reader(fh))[1:]
+    failed, solved = (RunRecord.from_row(r) for r in rows)
+    assert (failed.instance, failed.setting, failed.status) == (str(missing), "B-S1", "error")
+    assert failed.n is None and failed.time_s is None and failed.UB is None
+    assert failed.row() == rows[0]
+    assert solved.status == "optimal" and solved.setting == "I-S2"
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
 

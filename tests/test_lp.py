@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor
 
 from subig import lp
 from subig.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpModel, solve_lp
@@ -151,14 +150,17 @@ def test_against_vertex_enumeration():
             assert res.objective <= float(np.dot(m.obj, v)) + 1e-6
 
 
-def test_rowless_model():
+# A rowless model factorizes a 0x0 basis, which LAPACK's dgetrf rejects
+# with a message on stderr; lp.lu_factor must not hand it over.
+def test_rowless_model(capfd):
     m = LpModel("min")
     a = m.add_var(0.0, 2.0, obj=-1.0)
     res = solve_lp(m)
     assert res.status == OPTIMAL and res.x[a] == 2.0
+    assert capfd.readouterr().err == ""
 
 
-def test_rowless_free_variable():
+def test_rowless_free_variable(capfd):
     m = LpModel("min")
     m.add_var(-np.inf, np.inf, obj=1.0)
     assert solve_lp(m).status == UNBOUNDED
@@ -166,6 +168,62 @@ def test_rowless_free_variable():
     v = m.add_var(-np.inf, 3.0, obj=1.0)
     res = solve_lp(m)
     assert res.status == OPTIMAL and res.x[v] == 3.0
+    assert capfd.readouterr().err == ""
+
+
+def test_lapack_lu_matches_scipy_bit_for_bit():
+    # imported here only: lp calls LAPACK directly and must agree with the
+    # scipy wrappers it replaced
+    import scipy.linalg
+
+    rng = np.random.default_rng(7)
+    for size in range(1, 61):
+        A = rng.normal(size=(size, 2 * size))
+        gathered = A[:, rng.choice(2 * size, size, replace=False)]
+        assert gathered.flags.f_contiguous  # the simplex's basis gather
+        for B in (gathered, np.ascontiguousarray(gathered)):
+            lu, piv = lp.lu_factor(B)
+            ref = scipy.linalg.lu_factor(B)
+            assert np.array_equal(lu, ref[0]) and np.array_equal(piv, ref[1])
+            for b in (rng.normal(size=size), A[:, 0]):  # a fresh and a strided column
+                for trans in (0, 1):
+                    assert np.array_equal(
+                        lp.lu_solve((lu, piv), b, trans=trans),
+                        scipy.linalg.lu_solve(ref, b, trans=trans),
+                    )
+
+
+def test_singular_basis_raises():
+    with pytest.raises(lp.SolverError, match="singular"):
+        lp.lu_factor([[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m, v: m.add_row({v: np.nan}, 1.0),
+        lambda m, v: m.add_row({v: 1.0}, np.inf),
+        lambda m, v: m.add_var(0.0, 1.0, obj=np.nan),
+        lambda m, v: m.add_var(np.nan, 1.0),
+        lambda m, v: m.add_var(np.inf, np.inf),
+        lambda m, v: m.add_var(2.0, 1.0),
+        lambda m, v: solve_lp(m, {v: np.nan}),
+    ],
+    ids=["nan-coef", "inf-rhs", "nan-obj", "nan-bound", "inf-lower-bound", "empty-range", "nan-fixing"],
+)
+def test_non_finite_data_is_rejected(build):
+    m = LpModel("min")
+    v = m.add_var(0.0, 1.0, obj=1.0)
+    with pytest.raises(ValueError):
+        build(m, v)
+    assert m.n_vars == 1 and m.n_rows == 0
+
+
+def test_non_finite_optimum_raises():
+    m = LpModel("max")
+    m.add_var(0.0, 1e308, obj=1e308)  # finite data, objective overflows
+    with np.errstate(over="ignore"), pytest.raises(lp.SolverError, match="not finite"):
+        solve_lp(m)
 
 
 def _random_lp(rng):
@@ -247,6 +305,7 @@ def test_bland_fallback_matches_default(monkeypatch):
     """Bland's rule from the first degenerate pivot reaches the same status
     and objective on the differential LPs, through different pivots."""
     factorizations = []
+    lu_factor = lp.lu_factor
 
     def counting_lu_factor(B):
         factorizations.append(B.shape[0])
