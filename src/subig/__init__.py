@@ -39,7 +39,6 @@ from .problems import (
     BiigInstance,
     WmcigInstance,
     dump_instance,
-    export_miblp,
     gen_biig,
     gen_wmcig,
     load_instance,

@@ -1,4 +1,4 @@
-"""Command-line entry points: generate, solve, verify, bench, export-miblp.
+"""Command-line entry points: generate, solve, verify, bench.
 
 Exit codes: 0 success, 1 runtime failure (including verify mismatch),
 2 usage errors.
@@ -209,17 +209,6 @@ def cmd_bench(args) -> int:
     return 1 if errors else 0
 
 
-def cmd_export_miblp(args) -> int:
-    inst = problems.load_instance(args.instance)
-    model_text, aux_text = problems.export_miblp(inst)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(model_text)
-    with open(args.out + ".aux", "w", encoding="utf-8") as fh:
-        fh.write(aux_text)
-    print(f"wrote {args.out} and {args.out}.aux")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subig",
@@ -263,11 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--time-limit", type=float, default=3600.0, dest="time_limit")
     ben.add_argument("--node-limit", type=int, default=None, dest="node_limit")
     ben.set_defaults(func=cmd_bench)
-
-    exp = sub.add_parser("export-miblp", help="write the bilevel MIP text model")
-    exp.add_argument("instance")
-    exp.add_argument("--out", required=True)
-    exp.set_defaults(func=cmd_export_miblp)
 
     return parser
 

@@ -29,8 +29,8 @@ class Cut:
     g: Dict[int, float]
     family: str
     source: Tuple[int, ...]
-    # (a, b, coef) triples folded into (c0, g); a is None for pure lift terms
-    pairs: Tuple[Tuple[int | None, int, float], ...] = ()
+    # (a, b, coef) triples folded into (c0, g)
+    pairs: Tuple[Tuple[int, int, float], ...] = ()
 
     def rhs(self, x: Sequence[float]) -> float:
         return self.c0 + sum(gi * x[i] for i, gi in sorted(self.g.items()))
@@ -43,15 +43,9 @@ class Cut:
 @dataclass(frozen=True)
 class DominatingLists:
     """For each item i, the items that may replace it: no costlier anywhere
-    and at least as useful for every residual set.
-
-    ``zero_replacement_gain`` marks problems where a replaced item becomes
-    worthless next to its replacement (coverage inclusion), which drops the
-    subtracted term from lifting coefficients.
-    """
+    and at least as useful for every residual set."""
 
     lists: Mapping[int, Tuple[int, ...]]
-    zero_replacement_gain: bool = False
 
     def candidates(self, i: int) -> Tuple[int, ...]:
         return self.lists.get(i, ())
@@ -112,24 +106,22 @@ def lift_sic(
     if base.family not in (BASIC, IMPROVED) or base.source_set != frozenset(members):
         raise ValueError("lift base must be a basic/improved cut for the same set")
     used_b: set = set()
-    pairs: List[Tuple[int | None, int, float]] = []
+    pairs: List[Tuple[int, int, float]] = []
     ev = oracle.scratch()  # tracks S plus the chosen replacements
     ev.reset(members)
-    ex = None if dominating.zero_replacement_gain else oracle.scratch()
-    if ex is not None:
-        ex.reset(members)  # tracks S for single-exchange terms
+    ex = oracle.scratch()  # tracks S for single-exchange terms
+    ex.reset(members)
     for a in default_ordering(oracle, members):
         best = None
         for b in sorted(dominating.candidates(a)):
             if b in members or b in used_b:
                 continue
             coef = float(ev.gain(b))  # rho_b(S + current B)
-            if ex is not None:
-                ex.add(b)
-                ex.remove(a)
-                coef -= float(ex.gain(a))  # rho_a(S + b - a)
-                ex.add(a)
-                ex.remove(b)
+            ex.add(b)
+            ex.remove(a)
+            coef -= float(ex.gain(a))  # rho_a(S + b - a)
+            ex.add(a)
+            ex.remove(b)
             score = coef * (1.0 - x_star[b])
             if score > PAIR_TOL and (best is None or score > best[0] + PAIR_TOL):
                 best = (score, b, coef)
@@ -161,7 +153,7 @@ def alternative_sic(
     if base.family not in (BASIC, IMPROVED) or base.source_set != frozenset(members):
         raise ValueError("alternative base must be a basic/improved cut for the same set")
     used_b: set = set()
-    pairs: List[Tuple[int | None, int, float]] = []
+    pairs: List[Tuple[int, int, float]] = []
     ev = oracle.scratch()
     ev.reset(members)
     for a in default_ordering(oracle, members):

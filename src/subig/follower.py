@@ -131,8 +131,9 @@ def solve_sep(
     """Exact follower optimum over the available items via branch-and-cut.
 
     With a cutoff, returns as soon as some feasible solution beats it
-    (status ``cutoff_exceeded``); the value is then a lower bound on the true
-    optimum, which is all the enhanced separation needs.
+    (status ``cutoff_exceeded``), the greedy start first; the value is then a
+    lower bound on the true optimum, which is all the enhanced separation
+    needs.
     """
     items = sorted(set(available))
     for i in items:

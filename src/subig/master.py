@@ -238,38 +238,32 @@ def separate_integer(
     time_budget: float | None = None,
 ) -> Tuple[List[Cut], Optional[float]]:
     """Exact separation at a binary leader point: one follower solve, which
-    under E runs only when greedy finds no violated cut, and then in cutoff
-    mode at w*.  Returns ([], phi) when no violated cut exists, meaning the
+    under E runs in cutoff mode at w* (its greedy start alone may already
+    beat w*).  Returns ([], phi) when no violated cut exists, meaning the
     candidate is incumbent-acceptable with exactly that defended value;
     otherwise a violated cut list and, when the follower run happened to be
     exact, the value alongside."""
     avail = frozenset(i for i in range(oracle.n) if x_star[i] <= INT_TOL)
     phi_val: Optional[float] = None
-    s_hat: Optional[frozenset] = None
     cached = phi_cache.get(avail)
     if cached is not None:
         phi_val, s_hat = cached
         if phi_val <= w_star + VIOL_TOL:
             return [], phi_val
     else:
-        enhanced = config.enable_enhanced_int_sep
-        if enhanced:
-            greedy_set, _ = follower.greedy(oracle, avail, knapsacks=knapsacks)
-            if oracle.value(greedy_set) > w_star + VIOL_TOL:
-                s_hat = greedy_set
-        if s_hat is None:
-            res = follower.solve_sep(
-                oracle, avail, knapsacks,
-                cutoff=w_star if enhanced else None, time_budget=time_budget,
-            )
-            if res.status == follower.TIMED_OUT:
-                raise FollowerTimeout("integer separation timed out")
-            if res.status == follower.OPTIMAL:
-                phi_val = res.value
-                phi_cache[avail] = (res.value, res.items)
-                if res.value <= w_star + VIOL_TOL:
-                    return [], res.value
-            s_hat = res.items
+        res = follower.solve_sep(
+            oracle, avail, knapsacks,
+            cutoff=w_star if config.enable_enhanced_int_sep else None,
+            time_budget=time_budget,
+        )
+        if res.status == follower.TIMED_OUT:
+            raise FollowerTimeout("integer separation timed out")
+        if res.status == follower.OPTIMAL:
+            phi_val = res.value
+            phi_cache[avail] = (res.value, res.items)
+            if res.value <= w_star + VIOL_TOL:
+                return [], res.value
+        s_hat = res.items
     ordering = cutgen.default_ordering(oracle, s_hat)
     built = _build_cuts(
         oracle, knapsacks, config, s_hat, ordering, x_star, dominating, with_alternative=False
@@ -464,15 +458,3 @@ def solve(instance, oracle: SubmodularOracle, config: SolverConfig) -> SolveResu
     """Exact minimum of the follower's defended value over the leader region."""
     return InterdictionSolver(instance, oracle, config).solve()
 
-
-def write_run_log(result: SolveResult, path: str) -> None:
-    """One CSV line per processed node: bound, incumbent, cut counters."""
-    import csv
-
-    fields = ["node", "bound", "lb", "incumbent",
-              "cuts_basic", "cuts_improved", "cuts_lifted", "cuts_alternative"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in result.events:
-            writer.writerow({k: row.get(k) for k in fields})

@@ -26,8 +26,6 @@ class _Game:
     """What both games share: n items, a follower budget of B items, a
     leader budget of k items, and the superiority scan over the items."""
 
-    zero_replacement_gain: bool
-
     def knapsacks(self) -> KnapsackSystem:
         """The follower's budget."""
         return KnapsackSystem.cardinality(self.n, self.B)
@@ -55,16 +53,14 @@ class _Game:
             )
             if cands:
                 lists[i] = cands
-        return DominatingLists(lists=lists, zero_replacement_gain=self.zero_replacement_gain)
+        return DominatingLists(lists=lists)
 
 
 @dataclass(frozen=True)
 class WmcigInstance(_Game):
     """Coverage interdiction: n facility sites, m customers with profits.
 
-    A site reaches the customers it covers with probability 1, and a site
-    replaced by one that covers everything it covers adds nothing next to
-    its replacement."""
+    A site reaches the customers it covers with probability 1."""
 
     profits: Tuple[int, ...]            # per customer, >= 1
     cover: Tuple[frozenset, ...]        # customers covered per facility
@@ -72,7 +68,6 @@ class WmcigInstance(_Game):
     k: int                              # leader interdicts at most k sites
     name: str = "wmcig"
     provenance: str = ""
-    zero_replacement_gain = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -116,7 +111,6 @@ class BiigInstance(_Game):
     k: int
     name: str = "biig"
     provenance: str = ""
-    zero_replacement_gain = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -436,80 +430,3 @@ def parse_instance(text: str, name: str = "instance"):
         raise ValueError(f"line {extra[0]}: unexpected line after the instance")
     return inst
 
-
-def export_miblp(inst: WmcigInstance) -> Tuple[str, str]:
-    """Bilevel MIP text for coverage instances plus the auxiliary listing of
-    follower variables and rows.  Sections OBJ / ROWS / BINARIES; leader
-    variables x_i, follower y_i (open facility) and z_j (customer covered)."""
-    if not isinstance(inst, WmcigInstance):
-        raise TypeError("only coverage instances export to the bilevel MIP format")
-    if inst.n < 1:
-        raise ValueError("empty instance")
-    lines = ["OBJ", "min_max: " + " + ".join(f"{inst.profits[j]:g} z_{j}" for j in range(inst.m))]
-    lines.append("ROWS")
-    lines.append(
-        "budget: " + " + ".join(f"1 y_{i}" for i in range(inst.n)) + f" <= {inst.B:g}"
-    )
-    for j in range(inst.m):
-        covering = [i for i in range(inst.n) if j in inst.cover[i]]
-        terms = f"1 z_{j}" + "".join(f" - 1 y_{i}" for i in covering)
-        lines.append(f"cover_{j}: {terms} <= 0")
-    for i in range(inst.n):
-        lines.append(f"link_{i}: 1 y_{i} + 1 x_{i} <= 1")
-    lines.append(
-        "leader: " + " + ".join(f"1 x_{i}" for i in range(inst.n)) + f" <= {inst.k:g}"
-    )
-    lines.append("BINARIES")
-    lines.append(" ".join(f"x_{i}" for i in range(inst.n)))
-    lines.append(" ".join(f"y_{i}" for i in range(inst.n)))
-    lines.append(" ".join(f"z_{j}" for j in range(inst.m)))
-    aux = [f"y_{i}" for i in range(inst.n)]
-    aux += [f"z_{j}" for j in range(inst.m)]
-    aux.append("budget")
-    aux += [f"cover_{j}" for j in range(inst.m)]
-    aux += [f"link_{i}" for i in range(inst.n)]
-    return "\n".join(lines) + "\n", "\n".join(aux) + "\n"
-
-
-def parse_miblp(text: str) -> Tuple[Dict[str, Dict[str, float]], Dict[str, float], Dict[str, float]]:
-    """Reads back the exported model: (rows by name, rhs by name, objective)."""
-    rows: Dict[str, Dict[str, float]] = {}
-    rhs: Dict[str, float] = {}
-    obj: Dict[str, float] = {}
-    section = None
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        if ln in ("OBJ", "ROWS", "BINARIES"):
-            section = ln
-            continue
-        if section == "OBJ":
-            body = ln.split(":", 1)[1]
-            for coef, var in _linear_terms(body):
-                obj[var] = coef
-        elif section == "ROWS":
-            name, body = ln.split(":", 1)
-            lhs, bound = body.rsplit("<=", 1)
-            rows[name.strip()] = {var: coef for coef, var in _linear_terms(lhs)}
-            rhs[name.strip()] = float(bound)
-    return rows, rhs, obj
-
-
-def _linear_terms(body: str) -> List[Tuple[float, str]]:
-    toks = body.replace("+", " + ").replace("-", " - ").split()
-    out: List[Tuple[float, str]] = []
-    sign = 1.0
-    i = 0
-    while i < len(toks):
-        tok = toks[i]
-        if tok == "+":
-            sign = 1.0
-        elif tok == "-":
-            sign = -1.0
-        else:
-            out.append((sign * float(tok), toks[i + 1]))
-            sign = 1.0
-            i += 1
-        i += 1
-    return out

@@ -349,11 +349,6 @@ def test_criterion_6_sep_exactness():
 # ---------------------------------------------------------------- criterion 8
 
 APPENDIX_COLUMNS = {"time_s", "UB", "LB", "gap_pct", "rgap_pct", "nodes", "sic_total"}
-BENCH_SETTINGS = [
-    f"{base}-{s}"
-    for base in ("B", "I", "IL", "ILD", "ILDA", "ILDAE")
-    for s in ("S1", "S2", "S3")
-]
 
 
 def test_criterion_8_consistency_benchmark(tmp_path):
@@ -369,7 +364,7 @@ def test_criterion_8_consistency_benchmark(tmp_path):
         paths.append(p)
     manifest = tmp_path / "manifest.txt"
     manifest.write_text(
-        "\n".join(f"{p} {s}" for p in paths for s in BENCH_SETTINGS) + "\n"
+        "\n".join(f"{p} {s}" for p in paths for s in master.LADDER_SETTINGS) + "\n"
     )
     out_csv = tmp_path / "bench.csv"
     t0 = time.monotonic()
@@ -380,7 +375,7 @@ def test_criterion_8_consistency_benchmark(tmp_path):
         reader = csv.DictReader(fh)
         ok &= APPENDIX_COLUMNS <= set(reader.fieldnames)
         rows = list(reader)
-    ok &= len(rows) == len(paths) * len(BENCH_SETTINGS)
+    ok &= len(rows) == len(paths) * len(master.LADDER_SETTINGS)
     by_instance = {}
     for row in rows:
         ok &= row["status"] == "optimal"
@@ -388,4 +383,4 @@ def test_criterion_8_consistency_benchmark(tmp_path):
     ok &= len(by_instance) == 10
     ok &= all(len(vals) == 1 for vals in by_instance.values())
     _report(8, "consistency benchmark (large-scale tables out of scope)", ok,
-            f"{len(rows)} runs over {len(BENCH_SETTINGS)} settings, {elapsed:.0f}s")
+            f"{len(rows)} runs over {len(master.LADDER_SETTINGS)} settings, {elapsed:.0f}s")

@@ -135,17 +135,6 @@ def test_bench_threads_caps_the_pool_at_the_run_count(
         assert len(out_csv.read_text().splitlines()) == 3
 
 
-def test_export_miblp_cli(tmp_path, cover_example):
-    inst_path = tmp_path / "e.wmcig"
-    problems.write_instance(cover_example, str(inst_path))
-    out = tmp_path / "model.txt"
-    assert cli.main(["export-miblp", str(inst_path), "--out", str(out)]) == 0
-    assert out.exists() and (tmp_path / "model.txt.aux").exists()
-    text = out.read_text()
-    assert text.startswith("OBJ")
-    assert "leader:" in text
-
-
 def test_cli_import_leaves_scipy_optimize_unloaded():
     """Importing scipy.optimize costs about 20 MB of peak RSS, so the package
     must never load it; checked in a fresh interpreter."""

@@ -69,6 +69,16 @@ def test_separate_integer_enhanced_uses_greedy(cover_example):
     assert phi_val is None  # greedy shortcut skips the exact solve
 
 
+def _greedy_trap():
+    """Greedy opens {1, 2} for 8; the optimum {0, 1} is worth 10."""
+    return WmcigInstance(
+        profits=(2, 3, 3, 2),
+        cover=(frozenset({0, 1}), frozenset({2, 3}), frozenset({1, 2})),
+        B=2,
+        k=1,
+    )
+
+
 def test_separate_integer_enhanced_paths(cover_example, bipartite_example):
     """The E paths beyond the greedy shortcut of the test above."""
     worc = cover_example.oracle()
@@ -87,12 +97,7 @@ def test_separate_integer_enhanced_paths(cover_example, bipartite_example):
     assert borc.value(built[0].source_set) == pytest.approx(0.98, abs=1e-9)
 
     # greedy stops at 8 < w* = 9 < phi = 10: the cutoff solve finds the cut
-    trap = WmcigInstance(
-        profits=(2, 3, 3, 2),
-        cover=(frozenset({0, 1}), frozenset({2, 3}), frozenset({1, 2})),
-        B=2,
-        k=1,
-    )
+    trap = _greedy_trap()
     torc = trap.oracle()
     greedy_set, _ = follower.greedy(torc, range(3), knapsacks=trap.knapsacks())
     assert torc.value(greedy_set) == 8.0
@@ -100,6 +105,26 @@ def test_separate_integer_enhanced_paths(cover_example, bipartite_example):
         torc, trap.knapsacks(), cfg("IE-S1"), 9.0, [0, 0, 0], none, {}
     )
     assert built[0].source_set == {0, 1} and built[0].c0 == 10.0
+
+
+def test_separate_integer_enhanced_runs_greedy_once(monkeypatch):
+    """Under E the greedy start of the cutoff solve is the only greedy run,
+    also when it does not beat w*."""
+    calls = []
+    real_greedy = follower.greedy
+
+    def counting_greedy(*args, **kwargs):
+        calls.append(args[1])
+        return real_greedy(*args, **kwargs)
+
+    monkeypatch.setattr(follower, "greedy", counting_greedy)
+    trap = _greedy_trap()
+    built, _ = master.separate_integer(
+        trap.oracle(), trap.knapsacks(), cfg("IE-S1"), 9.0, [0, 0, 0],
+        DominatingLists.empty(), {},
+    )
+    assert built[0].c0 == 10.0
+    assert len(calls) == 1
 
 
 def test_fractional_candidate_s1(cover_example):
@@ -314,16 +339,6 @@ def test_solver_matches_brute_force_spot():
         assert res.value == ref.value
         # the solver's interdiction achieves the reported value
         assert follower.phi(orc, res.best_x, inst.knapsacks()) == res.value
-
-
-def test_run_log_csv(tmp_path):
-    inst = gen_wmcig(8, 2, 0.2, 5)
-    res = master.solve(inst, inst.oracle(), cfg("I-S1"))
-    path = tmp_path / "log.csv"
-    master.write_run_log(res, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("node,bound,lb,incumbent")
-    assert len(lines) == len(res.events) + 1
 
 
 def test_all_added_cuts_are_globally_valid():

@@ -10,11 +10,9 @@ from subig.problems import (
     BiigInstance,
     WmcigInstance,
     dump_instance,
-    export_miblp,
     gen_biig,
     gen_wmcig,
     parse_instance,
-    parse_miblp,
     write_instance,
 )
 
@@ -46,16 +44,29 @@ def test_oracle_matches_closed_form(bipartite_example):
 
 def test_wmcig_superiority(cover_example):
     dom = cover_example.dominating_lists()
-    assert dom.zero_replacement_gain
     assert dom.candidates(0) == (2,)  # site 2's coverage contains site 0's
     assert dom.candidates(1) == ()
     disjoint = WmcigInstance(profits=(1, 1), cover=(frozenset({0}), frozenset({1})), B=1, k=1)
     assert dict(disjoint.dominating_lists().lists) == {}
 
 
+def test_wmcig_replaced_site_gains_nothing_next_to_its_replacement():
+    """A coverage site b that may replace a covers every customer a covers,
+    so rho_a({b}) is exactly zero."""
+    pairs = 0
+    for seed in range(20):
+        inst = gen_wmcig(20, 2, 0.1, seed)
+        orc = inst.oracle()
+        dom = inst.dominating_lists()
+        for a in range(inst.n):
+            for b in dom.candidates(a):
+                assert orc.gain({b}, a) == 0.0
+                pairs += 1
+    assert pairs > 0
+
+
 def test_biig_superiority(bipartite_example):
     dom = bipartite_example.dominating_lists()
-    assert not dom.zero_replacement_gain
     assert 2 in dom.candidates(0)  # neighbors {0} within {0,2}, prob 0.4 >= 0.3
     assert 1 in dom.candidates(0)
     assert dom.candidates(1) == ()
@@ -202,37 +213,6 @@ def test_parse_accepts_or_names_the_line(text):
         parse_instance(text)
     except ValueError as exc:
         assert re.match(r"line \d+: ", str(exc)) or str(exc) == "empty instance file"
-
-
-def test_export_miblp_row_counts(cover_example):
-    model_text, aux_text = export_miblp(cover_example)
-    rows, rhs, obj = parse_miblp(model_text)
-    # 1 budget + 4 coverage + 3 linking + 1 leader
-    assert len(rows) == 9
-    assert set(obj) == {f"z_{j}" for j in range(4)}
-    assert rhs["budget"] == 2.0 and rhs["leader"] == 1.0
-    assert rows["cover_3"] == {"z_3": 1.0, "y_2": -1.0}
-    assert rows["link_0"] == {"y_0": 1.0, "x_0": 1.0}
-    aux_lines = aux_text.strip().splitlines()
-    assert "y_0" in aux_lines and "cover_0" in aux_lines and "leader" not in aux_lines
-
-
-def test_export_miblp_roundtrip_matrix(cover_example):
-    model_text, _ = export_miblp(cover_example)
-    rows, rhs, obj = parse_miblp(model_text)
-    # re-deriving the matrix from the instance reproduces every coefficient
-    for j in range(cover_example.m):
-        expected = {"z_%d" % j: 1.0}
-        for i in range(cover_example.n):
-            if j in cover_example.cover[i]:
-                expected[f"y_{i}"] = -1.0
-        assert rows[f"cover_{j}"] == expected
-        assert obj[f"z_{j}"] == cover_example.profits[j]
-
-
-def test_export_miblp_rejects_other_models(bipartite_example):
-    with pytest.raises(TypeError):
-        export_miblp(bipartite_example)
 
 
 def test_empty_instance_rejected():
