@@ -12,15 +12,10 @@ import dataclasses
 import io
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, get_type_hints
+from typing import List, Optional, Sequence
 
 from . import bruteforce, master, problems
 from .lp import SolverError
-
-# how a non-empty CSV cell is read back for each declared RunRecord field
-# type; an empty cell reads as None
-_CELL_PARSERS = {int: int, float: float, str: str, Optional[float]: float}
-
 
 @dataclasses.dataclass
 class RunRecord:
@@ -58,15 +53,6 @@ class RunRecord:
             else:
                 out.append(str(val))
         return out
-
-    @classmethod
-    def from_row(cls, row: Sequence[str]) -> "RunRecord":
-        types = get_type_hints(cls)
-        kwargs = {
-            col: _CELL_PARSERS[types[col]](val) if val else None
-            for col, val in zip(RUN_COLUMNS, row)
-        }
-        return cls(**kwargs)
 
     @classmethod
     def failed(cls, path: str, setting: str) -> "RunRecord":
@@ -217,17 +203,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a random instance file")
-    gen.add_argument("model", choices=["wmcig", "biig"])
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--r", type=int, default=2, help="coverage radius (wmcig)")
-    gen.add_argument("--k-frac", type=float, default=0.1, dest="k_frac")
-    gen.add_argument("--m-mult", type=int, default=2, dest="m_mult")
-    gen.add_argument("--B", type=int, default=5)
-    gen.add_argument("--k", type=int, default=5)
-    gen.add_argument("--d", type=float, default=0.07, help="arc density (biig)")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", required=True)
-    gen.set_defaults(func=cmd_generate)
+    models = gen.add_subparsers(dest="model", required=True)
+    # no abbreviations: wmcig would read biig's --k as its own --k-frac
+    wmcig = models.add_parser("wmcig", help="weighted maximal coverage interdiction instance",
+                              allow_abbrev=False)
+    wmcig.add_argument("--n", type=int, required=True)
+    wmcig.add_argument("--r", type=int, default=2, help="coverage radius")
+    wmcig.add_argument("--k-frac", type=float, default=0.1, dest="k_frac")
+    biig = models.add_parser("biig", help="bipartite inference interdiction instance",
+                             allow_abbrev=False)
+    biig.add_argument("--n", type=int, required=True)
+    biig.add_argument("--m-mult", type=int, default=2, dest="m_mult")
+    biig.add_argument("--B", type=int, default=5)
+    biig.add_argument("--k", type=int, default=5)
+    biig.add_argument("--d", type=float, default=0.07, help="arc density")
+    for model in (wmcig, biig):
+        model.add_argument("--seed", type=int, default=0)
+        model.add_argument("--out", required=True)
+        model.set_defaults(func=cmd_generate)
 
     def add_solver_flags(p):
         p.add_argument("--setting", default="ILDAE-S1")

@@ -175,6 +175,8 @@ class KnapsackSystem:
     caps: Tuple[float, ...]
 
     def __post_init__(self):
+        if not self.caps:
+            raise ValueError("a knapsack system needs at least one constraint row")
         if len(self.costs) != len(self.caps):
             raise ValueError("one capacity per cost row required")
         for row in self.costs:
@@ -197,7 +199,7 @@ class KnapsackSystem:
 
     @property
     def n(self) -> int:
-        return len(self.costs[0]) if self.costs else 0
+        return len(self.costs[0])
 
     def weight(self, items: Iterable[int]) -> np.ndarray:
         w = np.zeros(self.L)

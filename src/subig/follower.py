@@ -53,6 +53,8 @@ def greedy(
     by default the gain itself (ties within 1e-12 to the lowest id), until
     nothing fits or the best score is negative; the returned order extends
     the seed order by appended picks."""
+    if knapsacks.n != oracle.n:
+        raise ValueError(f"knapsack system has {knapsacks.n} items, the oracle {oracle.n}")
     seed = set(seed_set)
     order = list(seed_order) if seed_order else sorted(seed)
     if set(order) != seed or len(order) != len(seed):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from subig import cli, problems
-from subig.cli import RUN_COLUMNS, RunRecord
+from subig.cli import RUN_COLUMNS
 
 
 def test_generate_solve_verify_wmcig(tmp_path, capsys):
@@ -20,11 +20,11 @@ def test_generate_solve_verify_wmcig(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     lines = [ln for ln in out.strip().splitlines() if "," in ln]
-    header = lines[-2].split(",")
-    assert header == RUN_COLUMNS
-    record = RunRecord.from_row(next(csv.reader(io.StringIO(lines[-1]))))
-    assert record.setting == "ILDAE-S2"
-    assert record.gap_pct == 0.0
+    reader = csv.DictReader(io.StringIO("\n".join(lines[-2:])))
+    assert reader.fieldnames == RUN_COLUMNS
+    (record,) = reader
+    assert record["setting"] == "ILDAE-S2"
+    assert float(record["gap_pct"]) == 0.0
     rc = cli.main(["verify", str(path), "--setting", "B-S1"])
     assert rc == 0
 
@@ -34,6 +34,20 @@ def test_verify_biig(tmp_path):
     assert cli.main(["generate", "biig", "--n", "8", "--m-mult", "2", "--B", "3",
                      "--k", "2", "--d", "0.2", "--seed", "5", "--out", str(path)]) == 0
     assert cli.main(["verify", str(path), "--setting", "ILDAE-S2"]) == 0
+
+
+@pytest.mark.parametrize(
+    "model, flag",
+    [("wmcig", ["--k", "7"]), ("wmcig", ["--B", "3"]), ("biig", ["--r", "3"]),
+     ("biig", ["--k-frac", "0.5"])],
+)
+def test_generate_rejects_the_other_models_flags(tmp_path, capsys, model, flag):
+    out = tmp_path / "x.inst"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["generate", model, "--n", "10", *flag, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_setting_exits_2(tmp_path, capsys):
@@ -61,19 +75,14 @@ def test_bench_manifest_roundtrip(tmp_path):
     out_csv = tmp_path / "bench.csv"
     assert cli.main(["bench", str(manifest), "--out", str(out_csv)]) == 0
     with open(out_csv) as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        assert header == RUN_COLUMNS
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == RUN_COLUMNS
         rows = list(reader)
     assert len(rows) == 4
-    # loss-free: every field survives the csv round trip
-    records = [RunRecord.from_row(r) for r in rows]
-    for rec, row in zip(records, rows):
-        assert rec.row() == row
     # the same instance reports one optimum under both settings
     by_inst = {}
-    for rec in records:
-        by_inst.setdefault(rec.instance, set()).add(rec.UB)
+    for row in rows:
+        by_inst.setdefault(row["instance"], set()).add(row["UB"])
     assert all(len(v) == 1 for v in by_inst.values())
 
 
@@ -87,12 +96,10 @@ def test_bench_records_a_failing_entry_and_exits_1(tmp_path, capsys, cover_examp
     assert cli.main(["bench", str(manifest), "--out", str(out_csv)]) == 1
     assert f"error: {missing} B-S1: " in capsys.readouterr().err
     with open(out_csv) as fh:
-        rows = list(csv.reader(fh))[1:]
-    failed, solved = (RunRecord.from_row(r) for r in rows)
-    assert (failed.instance, failed.setting, failed.status) == (str(missing), "B-S1", "error")
-    assert failed.n is None and failed.time_s is None and failed.UB is None
-    assert failed.row() == rows[0]
-    assert solved.status == "optimal" and solved.setting == "I-S2"
+        failed, solved = csv.DictReader(fh)
+    kept = {"instance": str(missing), "setting": "B-S1", "status": "error"}
+    assert failed == {**dict.fromkeys(RUN_COLUMNS, ""), **kept}
+    assert solved["status"] == "optimal" and solved["setting"] == "I-S2"
 
 
 class _RecordingPool:

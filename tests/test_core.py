@@ -124,6 +124,13 @@ def test_knapsack_validation():
     assert ks.cost_le(0, 1)
 
 
+def test_knapsack_system_rejects_zero_rows():
+    """With no rows there is no item count; such a system used to build and
+    then fail with an IndexError inside the follower greedy."""
+    with pytest.raises(ValueError, match="at least one constraint row"):
+        KnapsackSystem(costs=(), caps=())
+
+
 def test_fitting_matches_the_per_item_fit_test():
     rng = np.random.default_rng(23)
     for _ in range(40):

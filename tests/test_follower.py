@@ -49,6 +49,18 @@ def test_greedy_rejects_infeasible_seed(cover_example):
         )
 
 
+@pytest.mark.parametrize("items", [5, 12])
+def test_follower_rejects_a_knapsack_system_of_another_size(items):
+    """Too few items used to raise an IndexError mid-scan, and too many
+    were accepted silently."""
+    oracle = gen_wmcig(10, 2, 0.1, 3).oracle()
+    knap = KnapsackSystem.cardinality(items, 2)
+    with pytest.raises(ValueError, match=f"knapsack system has {items} items, the oracle 10"):
+        follower.greedy(oracle, range(10), knap)
+    with pytest.raises(ValueError, match=f"knapsack system has {items} items"):
+        follower.solve_sep(oracle, range(10), knap)
+
+
 def test_solve_sep_examples(cover_example, bipartite_example):
     worc = cover_example.oracle()
     knap = cover_example.knapsacks()
