@@ -178,14 +178,15 @@ def cmd_bench(args) -> int:
                 raise ValueError(f"line {lineno}: {exc}") from None
             paths.append(parts[0])
             configs.append(config)
-    # the pool starts all its workers at the first submit: never more than runs
-    workers = min(args.threads, len(paths))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_bench_one, paths, configs))
-    else:
-        records = [_bench_one(p, c) for p, c in zip(paths, configs)]
+    # opened before any run, so a bad path fails before the work, not after
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        # the pool starts all its workers at the first submit: never more than runs
+        workers = min(args.threads, len(paths))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(_bench_one, paths, configs))
+        else:
+            records = [_bench_one(p, c) for p, c in zip(paths, configs)]
         writer = csv.writer(fh)
         writer.writerow(RUN_COLUMNS)
         for rec in records:

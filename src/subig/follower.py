@@ -19,26 +19,29 @@ from .lp import LpModel, solve_lp, INFEASIBLE
 
 OPTIMAL = "optimal"
 CUTOFF_EXCEEDED = "cutoff_exceeded"
-TIMED_OUT = "timed_out"
 
 INT_TOL = 1e-6
 CUTOFF_SLACK = 1e-6
 
 
 class FollowerTimeout(RuntimeError):
-    """Raised when a caller needs an exact answer but the time budget ran out."""
+    """Raised when the follower's time budget runs out before an answer."""
 
 
 @dataclass
 class SepResult:
     items: frozenset
     value: float
-    bound: float
     status: str
 
 
 def _gain_score(i: int, gain: float) -> float:
     return gain
+
+
+def _check_size(oracle: SubmodularOracle, knapsacks: KnapsackSystem) -> None:
+    if knapsacks.n != oracle.n:
+        raise ValueError(f"knapsack system has {knapsacks.n} items, the oracle {oracle.n}")
 
 
 def greedy(
@@ -53,8 +56,7 @@ def greedy(
     by default the gain itself (ties within 1e-12 to the lowest id), until
     nothing fits or the best score is negative; the returned order extends
     the seed order by appended picks."""
-    if knapsacks.n != oracle.n:
-        raise ValueError(f"knapsack system has {knapsacks.n} items, the oracle {oracle.n}")
+    _check_size(oracle, knapsacks)
     seed = set(seed_set)
     order = list(seed_order) if seed_order else sorted(seed)
     if set(order) != seed or len(order) != len(seed):
@@ -135,19 +137,20 @@ def solve_sep(
     With a cutoff, returns as soon as some feasible solution beats it
     (status ``cutoff_exceeded``), the greedy start first; the value is then a
     lower bound on the true optimum, which is all the enhanced separation
-    needs.
+    needs.  Raises FollowerTimeout once ``time_budget`` seconds have passed.
     """
+    _check_size(oracle, knapsacks)
     items = sorted(set(available))
     for i in items:
         oracle.check_item(i)
     if not items:
-        return SepResult(frozenset(), 0.0, 0.0, OPTIMAL)
+        return SepResult(frozenset(), 0.0, OPTIMAL)
     t0 = time.monotonic()
     ub_theta = oracle.value(items)  # monotonicity: no subset beats the full set
     inc_set, _ = greedy(oracle, items, knapsacks=knapsacks)
     inc_val = oracle.value(inc_set)
     if cutoff is not None and inc_val > cutoff + CUTOFF_SLACK:
-        return SepResult(inc_set, inc_val, ub_theta, CUTOFF_EXCEEDED)
+        return SepResult(inc_set, inc_val, CUTOFF_EXCEEDED)
 
     model = LpModel("max")
     ycol = {i: model.add_var(0.0, 1.0) for i in items}
@@ -175,7 +178,7 @@ def solve_sep(
     stack: List[Dict[int, int]] = [{}]
     while stack:
         if time_budget is not None and time.monotonic() - t0 > time_budget:
-            return SepResult(inc_set, inc_val, ub_theta, TIMED_OUT)
+            raise FollowerTimeout("follower subproblem exceeded its time budget")
         fixings = stack.pop()
         fixed = {ycol[i]: float(v) for i, v in fixings.items()}
         while True:
@@ -197,7 +200,7 @@ def solve_sep(
                     inc_val = z_s
                     inc_set = frozenset(s_hat)
                     if cutoff is not None and inc_val > cutoff + CUTOFF_SLACK:
-                        return SepResult(inc_set, inc_val, ub_theta, CUTOFF_EXCEEDED)
+                        return SepResult(inc_set, inc_val, CUTOFF_EXCEEDED)
                 break
             # heuristic generating set: prefix by decreasing y*, stop once a
             # knapsack row first breaks (prefix kept as-is)
@@ -216,7 +219,7 @@ def solve_sep(
             stack.append({**fixings, pick: 0})
             stack.append({**fixings, pick: 1})  # explore inclusion first
             break
-    return SepResult(inc_set, inc_val, inc_val, OPTIMAL)
+    return SepResult(inc_set, inc_val, OPTIMAL)
 
 
 def phi(
@@ -234,8 +237,5 @@ def phi(
             raise ValueError("interdiction vector must be binary")
         if xi <= INT_TOL:
             avail.append(i)
-    res = solve_sep(oracle, avail, knapsacks, time_budget=time_budget)
-    if res.status == TIMED_OUT:
-        raise FollowerTimeout("follower subproblem exceeded its time budget")
-    return res.value
+    return solve_sep(oracle, avail, knapsacks, time_budget=time_budget).value
 

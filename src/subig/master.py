@@ -256,8 +256,6 @@ def separate_integer(
             cutoff=w_star if config.enable_enhanced_int_sep else None,
             time_budget=time_budget,
         )
-        if res.status == follower.TIMED_OUT:
-            raise FollowerTimeout("integer separation timed out")
         if res.status == follower.OPTIMAL:
             phi_val = res.value
             phi_cache[avail] = (res.value, res.items)

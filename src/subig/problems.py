@@ -1,10 +1,11 @@
 """Built-in interdiction game models, instance generators, and file formats.
 
-Two follower objectives ship with the solver: weighted coverage (facilities
-cover customers with profits; value of a set is the profit of customers
-covered at least once) and bipartite activation (items activate targets
-independently; value is the expected number sum of activated targets).
-Both are monotone submodular with z(empty) = 0.
+Both games share one follower objective, weighted probabilistic coverage:
+each item reaches some targets, each with the item's probability, and the
+value of a set is sum_j w_j * (1 - prod_{i in S reaching j} (1 - p_i)).
+WMCIG (facilities covering customers) is p_i = 1 with w_j the customer's
+profit; BIIG (items activating targets) is w_j = 1.  The value is monotone
+submodular with z(empty) = 0.
 """
 
 from __future__ import annotations
@@ -34,16 +35,21 @@ class _Game:
         """The leader's interdiction budget."""
         return KnapsackSystem.cardinality(self.n, self.k)
 
-    def _reach(self) -> Tuple[Tuple[frozenset, float], ...]:
-        """Per item: what it reaches, and the probability that it reaches each."""
+    def _coverage(self) -> Tuple[Tuple[Tuple[frozenset, float], ...], Tuple[float, ...]]:
+        """Per item: the targets it reaches, and the probability that it
+        reaches each; per target: what reaching it is worth."""
         raise NotImplementedError
+
+    def oracle(self) -> "CoverageOracle":
+        """The follower's objective."""
+        return CoverageOracle(*self._coverage())
 
     def dominating_lists(self) -> DominatingLists:
         """j can replace i when j reaches everything i reaches, with at least
         the same probability, and costs the follower no more (a cheap
         sufficient test, pairwise scan)."""
         knap = self.knapsacks()
-        reach = self._reach()
+        reach, _ = self._coverage()
         lists: Dict[int, Tuple[int, ...]] = {}
         for i, (hit_i, p_i) in enumerate(reach):
             cands = tuple(
@@ -54,6 +60,16 @@ class _Game:
             if cands:
                 lists[i] = cands
         return DominatingLists(lists=lists)
+
+
+def _check_profits(profits, where: str = "") -> None:
+    """Profits are at least 1, and their total stays below 2**53, so that
+    every coverage value and gain is an exact integer-valued float.  An
+    error message starts with ``where``."""
+    if any(p < 1 for p in profits):
+        raise ValueError(f"{where}customer profits must be >= 1")
+    if sum(profits) >= 2**53:
+        raise ValueError(f"{where}the total profit must stay below 2**53")
 
 
 @dataclass(frozen=True)
@@ -72,8 +88,7 @@ class WmcigInstance(_Game):
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("at least one facility site required")
-        if any(p < 1 for p in self.profits):
-            raise ValueError("customer profits must be >= 1")
+        _check_profits(self.profits)
         if self.B < 0 or self.k < 0:
             raise ValueError("budgets must be non-negative")
         for js in self.cover:
@@ -93,11 +108,8 @@ class WmcigInstance(_Game):
     def family(self) -> str:
         return "WMCIG"
 
-    def oracle(self) -> "CoverageOracle":
-        return CoverageOracle(self)
-
-    def _reach(self) -> Tuple[Tuple[frozenset, float], ...]:
-        return tuple((js, 1.0) for js in self.cover)
+    def _coverage(self):
+        return tuple((js, 1.0) for js in self.cover), self.profits
 
 
 @dataclass(frozen=True)
@@ -135,116 +147,62 @@ class BiigInstance(_Game):
     def family(self) -> str:
         return "BIIG"
 
-    def neighbor_targets(self) -> Tuple[frozenset, ...]:
+    def _coverage(self):
         out: List[set] = [set() for _ in range(self.n)]
         for i, j in self.arcs:
             out[i].add(j)
-        return tuple(frozenset(s) for s in out)
-
-    def oracle(self) -> "ActivationOracle":
-        return ActivationOracle(self)
-
-    def _reach(self) -> Tuple[Tuple[frozenset, float], ...]:
-        return tuple(zip(self.neighbor_targets(), self.probs))
+        return tuple(zip(map(frozenset, out), self.probs)), (1.0,) * self.targets
 
 
 class CoverageOracle(SubmodularOracle):
-    """z(S) = total profit of customers covered by at least one member.
+    """z(S) = sum over targets j of w_j * (1 - prod_{i in S reaching j} (1 - p_i)),
+    from each item's reach (targets and probability) and the target weights."""
 
-    Scratch state keeps a per-customer cover count and an exact integer total.
-    """
-
-    def __init__(self, inst: WmcigInstance):
+    def __init__(self, reach: Tuple[Tuple[frozenset, float], ...], weights: Tuple[float, ...]):
         super().__init__()
-        self.n = inst.n
-        self.cover = tuple(tuple(sorted(js)) for js in inst.cover)
-        self.profits = np.asarray(inst.profits, dtype=np.int64)
+        self.n = len(reach)
+        self.neighbors = tuple(tuple(sorted(hit)) for hit, _ in reach)
+        self.probs = tuple(p for _, p in reach)
+        self.weights = tuple(float(w) for w in weights)
+        hitters: List[List[int]] = [[] for _ in self.weights]
+        for i, hit in enumerate(self.neighbors):
+            for j in hit:
+                hitters[j].append(i)
+        self.hitters = tuple(tuple(h) for h in hitters)
 
     def scratch(self) -> "_CoverageEvaluator":
         return _CoverageEvaluator(self)
 
 
 class _CoverageEvaluator(Evaluator):
+    """Keeps each target's survival product, recomputed over the member
+    hitters in ascending order: a survival, and so a gain, does not depend on
+    the order in which members came and went."""
+
     def __init__(self, oracle: CoverageOracle):
         super().__init__(oracle)
-        self._counts = np.zeros(len(oracle.profits), dtype=np.int64)
-        self._total = 0
-
-    @property
-    def value(self) -> float:
-        return float(self._total)
-
-    def add(self, i):
-        if i in self.members:
-            return
-        self.members.add(i)
-        for j in self._oracle.cover[i]:
-            if self._counts[j] == 0:
-                self._total += int(self._oracle.profits[j])
-            self._counts[j] += 1
-
-    def remove(self, i):
-        if i not in self.members:
-            return
-        self.members.discard(i)
-        for j in self._oracle.cover[i]:
-            self._counts[j] -= 1
-            if self._counts[j] == 0:
-                self._total -= int(self._oracle.profits[j])
-
-    def gain(self, i):
-        if i in self.members:
-            return 0.0
-        g = 0
-        for j in self._oracle.cover[i]:
-            if self._counts[j] == 0:
-                g += int(self._oracle.profits[j])
-        return float(g)
-
-
-class ActivationOracle(SubmodularOracle):
-    """z(S) = sum over targets of 1 - prod_{members hitting it} (1 - p_i).
-
-    Scratch state keeps the per-target survival product, recomputed per
-    affected target in ascending member order so values are reproducible.
-    """
-
-    def __init__(self, inst: BiigInstance):
-        super().__init__()
-        self.n = inst.n
-        self.probs = np.asarray(inst.probs, dtype=float)
-        self.neighbors = tuple(tuple(sorted(s)) for s in inst.neighbor_targets())
-        hitters: List[List[int]] = [[] for _ in range(inst.targets)]
-        for i in range(self.n):
-            for j in self.neighbors[i]:
-                hitters[j].append(i)
-        self.hitters = tuple(tuple(sorted(h)) for h in hitters)
-        self.targets = inst.targets
-
-    def scratch(self) -> "_ActivationEvaluator":
-        return _ActivationEvaluator(self)
-
-
-class _ActivationEvaluator(Evaluator):
-    def __init__(self, oracle: ActivationOracle):
-        super().__init__(oracle)
-        self._survive = np.ones(oracle.targets)
+        self._survive = [1.0] * len(oracle.weights)
 
     def _recompute(self, j: int) -> None:
+        orc = self._oracle
         prod = 1.0
-        for i in self._oracle.hitters[j]:
+        for i in orc.hitters[j]:
             if i in self.members:
-                prod *= 1.0 - self._oracle.probs[i]
+                prod *= 1.0 - orc.probs[i]
         old = self._survive[j]
         self._survive[j] = prod
-        self._value += old - prod
+        self._value += orc.weights[j] * (old - prod)
 
     def add(self, i):
         if i in self.members:
             return
         self.members.add(i)
         for j in self._oracle.neighbors[i]:
-            self._recompute(j)
+            # Rounded to nearest, a non-negative number times a factor in
+            # [0, 1] is never larger, so wherever the new factor goes in the
+            # ascending order no partial product grows: 0.0 stays 0.0.
+            if self._survive[j] != 0.0:
+                self._recompute(j)
 
     def remove(self, i):
         if i not in self.members:
@@ -256,11 +214,12 @@ class _ActivationEvaluator(Evaluator):
     def gain(self, i):
         if i in self.members:
             return 0.0
-        p = self._oracle.probs[i]
+        orc = self._oracle
+        p = orc.probs[i]
         g = 0.0
-        for j in self._oracle.neighbors[i]:
-            g += self._survive[j] * p
-        return float(g)
+        for j in orc.neighbors[i]:
+            g += orc.weights[j] * self._survive[j] * p
+        return g
 
 
 def gen_wmcig(n: int, r: float, k_frac: float, seed: int) -> WmcigInstance:
@@ -393,8 +352,7 @@ def parse_instance(text: str, name: str = "instance"):
         raise ValueError(f"line {no}: the header needs n >= 1 and m, B, k >= 0")
     if head.upper() == "WMCIG":
         no, profits = take("profit line", "P", count=m)
-        if any(p < 1 for p in profits):
-            raise ValueError(f"line {no}: customer profits must be >= 1")
+        _check_profits(profits, where=f"line {no}: ")
         cover: Dict[int, frozenset] = {}
         for _ in range(n):
             no, vals = take("coverage line", "C")

@@ -142,6 +142,19 @@ def test_bench_threads_caps_the_pool_at_the_run_count(
         assert len(out_csv.read_text().splitlines()) == 3
 
 
+def test_bench_checks_its_output_path_before_any_run(tmp_path, capsys, monkeypatch, cover_example):
+    inst = tmp_path / "t.wmcig"
+    problems.write_instance(cover_example, str(inst))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{inst} B-S1\n{inst} I-S2\n")
+    calls = []
+    monkeypatch.setattr(cli, "_bench_one", lambda *args: calls.append(args))
+    out_csv = tmp_path / "nodir" / "o.csv"
+    assert cli.main(["bench", str(manifest), "--out", str(out_csv)]) == 1
+    assert "nodir" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     """Importing scipy.optimize costs about 20 MB of peak RSS, so the package
     must never load it; checked in a fresh interpreter."""
@@ -166,6 +179,8 @@ def test_missing_file_exits_1(tmp_path, capsys):
         ("WMCIG 2 2 1 1\nP 5 9\nC 0 1 0\nC 0 1 1\n", 4),
         ("WMCIG 2 2 1 1\nP 0 9\nC 0 1 0\nC 1 1 1\n", 2),
         ("WMCIG 99999999999999999999 0 0 0\nP\n", 2),
+        ("# total profit 2**53\nWMCIG 2 2 1 1\nP 4503599627370496 4503599627370496\n"
+         "C 0 1 0\nC 1 1 1\n", 3),
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, text, line):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from subig import core
 from subig.core import KnapsackSystem, SubmodularOracle
-from subig.problems import gen_wmcig
+from subig.problems import BiigInstance, gen_wmcig
 
 from conftest import ModularOracle, random_knapsack
 
@@ -150,14 +150,33 @@ def test_fitting_matches_the_per_item_fit_test():
             ]
 
 
-def test_scratch_matches_value_after_churn(bipartite_example):
-    orc = bipartite_example.oracle()
-    ev = orc.scratch()
-    rng = np.random.default_rng(0)
-    for _ in range(300):
-        i = int(rng.integers(orc.n))
-        if i in ev.members:
-            ev.remove(i)
-        else:
-            ev.add(i)
-        assert ev.value == pytest.approx(orc.value(ev.members), abs=1e-12)
+def test_scratch_matches_value_after_churn(cover_example, bipartite_example):
+    """However the members came and went, every gain equals a fresh
+    evaluation's exactly, and so does a coverage value; a probabilistic value
+    is a running sum whose last bits depend on the order of the updates.
+    Items at p = 1.0 drive survivals to 0.0, which adding another item
+    leaves at 0.0."""
+    certain = BiigInstance(
+        probs=(1.0, 0.0, 0.5, 1.0, 0.25),
+        targets=4,
+        arcs=((0, 0), (0, 1), (1, 1), (2, 0), (2, 2), (3, 2), (3, 3), (4, 0), (4, 3)),
+        B=2,
+        k=1,
+    )
+    for inst in (cover_example, bipartite_example, certain):
+        orc = inst.oracle()
+        ev = orc.scratch()
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            i = int(rng.integers(orc.n))
+            if i in ev.members:
+                ev.remove(i)
+            else:
+                ev.add(i)
+            if inst is cover_example:
+                assert ev.value == orc.value(ev.members)
+            else:
+                assert ev.value == pytest.approx(orc.value(ev.members), abs=1e-12)
+            assert [ev.gain(t) for t in range(orc.n)] == [
+                orc.gain(ev.members, t) for t in range(orc.n)
+            ]

@@ -28,7 +28,7 @@ def test_oracle_examples(cover_example, bipartite_example):
 def test_oracle_matches_closed_form(bipartite_example):
     inst = gen_biig(9, 3, 3, 2, 0.2, 4)
     orc = inst.oracle()
-    nb = inst.neighbor_targets()
+    arcs = set(inst.arcs)
     rng = np.random.default_rng(0)
     for _ in range(50):
         S = {i for i in range(inst.n) if rng.random() < 0.5}
@@ -36,10 +36,17 @@ def test_oracle_matches_closed_form(bipartite_example):
         for j in range(inst.targets):
             prod = 1.0
             for i in sorted(S):
-                if j in nb[i]:
+                if (i, j) in arcs:
                     prod *= 1.0 - inst.probs[i]
             closed += 1.0 - prod
         assert orc.value(S) == pytest.approx(closed, abs=1e-12)
+    # coverage: the profit of the covered customers, exactly
+    inst = gen_wmcig(30, 2, 0.1, 4)
+    orc = inst.oracle()
+    for _ in range(50):
+        S = {i for i in range(inst.n) if rng.random() < 0.3}
+        covered = set().union(*(inst.cover[i] for i in S))
+        assert orc.value(S) == sum(inst.profits[j] for j in covered)
 
 
 def test_wmcig_superiority(cover_example):
