@@ -2,8 +2,9 @@
 
 An oracle describes a set function z over the ground set {0, ..., n-1} with
 z(empty) = 0. All mutable evaluation state lives in a scratch evaluator
-obtained via ``oracle.scratch()``; oracles themselves are read-only after
-construction and safe to share, evaluators are single-owner.
+obtained via ``oracle.scratch(items)``, which builds an evaluator for that
+set; oracles themselves are read-only after construction and safe to share,
+evaluators are single-owner.
 """
 
 from __future__ import annotations
@@ -33,12 +34,6 @@ class Evaluator:
         """z of the current member set."""
         return self._value
 
-    def reset(self, items: Iterable[int] = ()) -> None:
-        while self.members:
-            self.remove(next(iter(self.members)))
-        for i in sorted(set(items)):
-            self.add(i)
-
     def add(self, i: int) -> None:
         if i in self.members:
             return
@@ -62,30 +57,31 @@ class Evaluator:
 
 
 class SubmodularOracle:
-    """Base class; subclasses provide ``n`` and a concrete scratch evaluator."""
+    """Base class; subclasses provide ``n`` and a concrete ``evaluator``."""
 
     n: int = 0
+    evaluator = Evaluator
 
     def __init__(self):
         self._rho_empty: np.ndarray | None = None
         self._rho_full: np.ndarray | None = None
 
-    def scratch(self) -> Evaluator:
-        return Evaluator(self)
+    def scratch(self, items: Iterable[int] = ()) -> Evaluator:
+        """A fresh evaluator holding ``items``, added in ascending order."""
+        ev = self.evaluator(self)
+        for i in sorted(set(items)):
+            ev.add(i)
+        return ev
 
     def value(self, items: Iterable[int]) -> float:
-        ev = self.scratch()
-        ev.reset(self._validated(items))
-        return ev.value
+        return self.scratch(self._validated(items)).value
 
     def gain(self, items: Iterable[int], i: int) -> float:
         self.check_item(i)
         members = self._validated(items)
         if i in members:
             return 0.0
-        ev = self.scratch()
-        ev.reset(members)
-        return ev.gain(i)
+        return self.scratch(members).gain(i)
 
     def check_item(self, i: int) -> None:
         if not 0 <= int(i) < self.n:
@@ -107,8 +103,7 @@ class SubmodularOracle:
     def rho_full_complement(self) -> np.ndarray:
         """Per-item gains over the full ground set minus the item, cached."""
         if self._rho_full is None:
-            ev = self.scratch()
-            ev.reset(range(self.n))
+            ev = self.scratch(range(self.n))
             out = np.empty(self.n)
             for i in range(self.n):
                 ev.remove(i)

@@ -40,21 +40,6 @@ class Cut:
         return frozenset(self.source)
 
 
-@dataclass(frozen=True)
-class DominatingLists:
-    """For each item i, the items that may replace it: no costlier anywhere
-    and at least as useful for every residual set."""
-
-    lists: Mapping[int, Tuple[int, ...]]
-
-    def candidates(self, i: int) -> Tuple[int, ...]:
-        return self.lists.get(i, ())
-
-    @classmethod
-    def empty(cls) -> "DominatingLists":
-        return cls(lists={})
-
-
 def default_ordering(oracle: SubmodularOracle, s_hat: Iterable[int]) -> Tuple[int, ...]:
     """Members sorted by non-increasing empty-set gain, ties by ascending id."""
     rho0 = oracle.rho_empty()
@@ -97,23 +82,23 @@ def lift_sic(
     s_hat: Iterable[int],
     base: Cut,
     x_star: Sequence[float],
-    dominating: DominatingLists,
+    dominating: Mapping[int, Tuple[int, ...]],
 ) -> Cut:
     """Greedy pair selection: walk S by non-increasing empty-set gain, pick per
     item the replacement maximizing (gain of entering - residual gain of the
-    replaced item) * (1 - x*_b); keep only strictly positive scores."""
+    replaced item) * (1 - x*_b); keep only strictly positive scores.
+    ``dominating`` maps an item to the items that may replace it (no costlier
+    anywhere and at least as useful for every residual set)."""
     members = set(s_hat)
     if base.family not in (BASIC, IMPROVED) or base.source_set != frozenset(members):
         raise ValueError("lift base must be a basic/improved cut for the same set")
     used_b: set = set()
     pairs: List[Tuple[int, int, float]] = []
-    ev = oracle.scratch()  # tracks S plus the chosen replacements
-    ev.reset(members)
-    ex = oracle.scratch()  # tracks S for single-exchange terms
-    ex.reset(members)
+    ev = oracle.scratch(members)  # tracks S plus the chosen replacements
+    ex = oracle.scratch(members)  # tracks S for single-exchange terms
     for a in default_ordering(oracle, members):
         best = None
-        for b in sorted(dominating.candidates(a)):
+        for b in sorted(dominating.get(a, ())):
             if b in members or b in used_b:
                 continue
             coef = float(ev.gain(b))  # rho_b(S + current B)
@@ -154,8 +139,7 @@ def alternative_sic(
         raise ValueError("alternative base must be a basic/improved cut for the same set")
     used_b: set = set()
     pairs: List[Tuple[int, int, float]] = []
-    ev = oracle.scratch()
-    ev.reset(members)
+    ev = oracle.scratch(members)
     for a in default_ordering(oracle, members):
         ev.remove(a)
         best = None

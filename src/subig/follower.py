@@ -21,7 +21,6 @@ OPTIMAL = "optimal"
 CUTOFF_EXCEEDED = "cutoff_exceeded"
 
 INT_TOL = 1e-6
-CUTOFF_SLACK = 1e-6
 
 
 class FollowerTimeout(RuntimeError):
@@ -48,26 +47,23 @@ def greedy(
     oracle: SubmodularOracle,
     ground_subset: Iterable[int],
     knapsacks: KnapsackSystem,
-    seed_set: Iterable[int] = (),
-    seed_order: Sequence[int] = (),
+    seed: Sequence[int] = (),
     score: Callable[[int, float], float] = _gain_score,
 ) -> Tuple[frozenset, Tuple[int, ...]]:
-    """Repeatedly add the fitting item with the largest ``score(i, gain)``,
-    by default the gain itself (ties within 1e-12 to the lowest id), until
-    nothing fits or the best score is negative; the returned order extends
-    the seed order by appended picks."""
+    """Starting from the seed, repeatedly add the fitting item with the
+    largest ``score(i, gain)``, by default the gain itself (ties within 1e-12
+    to the lowest id), until nothing fits or the best score is negative; the
+    returned order is the seed followed by the picks."""
     _check_size(oracle, knapsacks)
-    seed = set(seed_set)
-    order = list(seed_order) if seed_order else sorted(seed)
-    if set(order) != seed or len(order) != len(seed):
-        raise ValueError("seed order must be a permutation of the seed set")
-    if not knapsacks.fits(seed):
+    order = list(seed)
+    current = set(order)
+    if len(current) != len(order):
+        raise ValueError("seed repeats an item")
+    if not knapsacks.fits(current):
         raise ValueError("seed set violates a knapsack constraint")
-    ground = sorted(set(ground_subset) | seed)
-    ev = oracle.scratch()
-    ev.reset(seed)
-    weight = knapsacks.weight(seed)
-    current = set(seed)
+    ground = sorted(set(ground_subset) | current)
+    ev = oracle.scratch(current)
+    weight = knapsacks.weight(current)
     while True:
         fit = knapsacks.fitting(weight)
         best = None
@@ -91,7 +87,6 @@ def bounding_rows(
     oracle: SubmodularOracle,
     available: Sequence[int],
     s_hat: Iterable[int],
-    scratch=None,
 ) -> List[Tuple[Dict[int, float], float]]:
     """The two submodular upper-bound rows anchored at s_hat, each returned as
     (coefs, rhs) meaning  theta <= rhs + sum_i coefs[i] * y_i.
@@ -102,9 +97,8 @@ def bounding_rows(
     """
     rho_full = oracle.rho_full_complement()
     rho0 = oracle.rho_empty()
-    ev = scratch if scratch is not None else oracle.scratch()
     sset = set(s_hat)
-    ev.reset(sset)
+    ev = oracle.scratch(sset)
     z_s = float(ev.value)
     gains_out = {i: float(ev.gain(i)) for i in available if i not in sset}
     gains_in = {}
@@ -134,8 +128,8 @@ def solve_sep(
 ) -> SepResult:
     """Exact follower optimum over the available items via branch-and-cut.
 
-    With a cutoff, returns as soon as some feasible solution beats it
-    (status ``cutoff_exceeded``), the greedy start first; the value is then a
+    With a cutoff, returns as soon as some feasible solution's value exceeds
+    it (status ``cutoff_exceeded``), the greedy start first; the value is then a
     lower bound on the true optimum, which is all the enhanced separation
     needs.  Raises FollowerTimeout once ``time_budget`` seconds have passed.
     """
@@ -149,7 +143,7 @@ def solve_sep(
     ub_theta = oracle.value(items)  # monotonicity: no subset beats the full set
     inc_set, _ = greedy(oracle, items, knapsacks=knapsacks)
     inc_val = oracle.value(inc_set)
-    if cutoff is not None and inc_val > cutoff + CUTOFF_SLACK:
+    if cutoff is not None and inc_val > cutoff:
         return SepResult(inc_set, inc_val, CUTOFF_EXCEEDED)
 
     model = LpModel("max")
@@ -161,13 +155,11 @@ def solve_sep(
         if coefs:
             model.add_row(coefs, caps[ell])
 
-    ev = oracle.scratch()
-
     def add_rows_for(s_hat: Sequence[int], theta_star: float, y_star: Dict[int, float]) -> int:
         """Bounding rows anchored at s_hat; returns how many were new and
         violated at (theta*, y*)."""
         added = 0
-        for coefs, rhs in bounding_rows(oracle, items, s_hat, scratch=ev):
+        for coefs, rhs in bounding_rows(oracle, items, s_hat):
             lhs = theta_star - sum(c * y_star[i] for i, c in coefs.items())
             if lhs > rhs + 1e-7:
                 row = {ycol[i]: -c for i, c in coefs.items()}
@@ -190,8 +182,7 @@ def solve_sep(
             frac = [i for i in items if INT_TOL < y_star[i] < 1.0 - INT_TOL]
             if not frac:
                 s_hat = [i for i in items if y_star[i] > 0.5]
-                ev.reset(s_hat)
-                z_s = ev.value
+                z_s = oracle.scratch(s_hat).value
                 if theta_star > z_s + INT_TOL:
                     if add_rows_for(s_hat, theta_star, y_star) > 0:
                         continue
@@ -199,7 +190,7 @@ def solve_sep(
                 if z_s > inc_val + 1e-12:
                     inc_val = z_s
                     inc_set = frozenset(s_hat)
-                    if cutoff is not None and inc_val > cutoff + CUTOFF_SLACK:
+                    if cutoff is not None and inc_val > cutoff:
                         return SepResult(inc_set, inc_val, CUTOFF_EXCEEDED)
                 break
             # heuristic generating set: prefix by decreasing y*, stop once a

@@ -15,18 +15,17 @@ import itertools
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import cuts as cutgen
 from . import follower
 from .core import KnapsackSystem, SubmodularOracle
-from .cuts import Cut, DominatingLists
-from .follower import FollowerTimeout
+from .cuts import Cut
+from .follower import INT_TOL, FollowerTimeout
 from .lp import LpModel, solve_lp, INFEASIBLE
 
-INT_TOL = 1e-6
 VIOL_TOL = 1e-6
 FRAC_VIOLATION_THRESHOLD = 0.01  # relative violation a fractional cut must exceed
 
@@ -119,13 +118,13 @@ def gap(z_star: Optional[float], z_lower: float) -> float:
 
 
 def dominance_preprocess(
-    dominating: DominatingLists, leader: KnapsackSystem
+    dominating: Mapping[int, Tuple[int, ...]], leader: KnapsackSystem
 ) -> List[Tuple[int, int]]:
     """Pairs (i, j) justifying the inequality x_i >= x_j: i is at least as
     useful for the follower, no costlier, and no costlier for the leader.
     When both directions hold only the (min, max) orientation is kept."""
     pairs = {
-        (i, j) for j, cands in dominating.lists.items() for i in cands if leader.cost_le(i, j)
+        (i, j) for j, cands in dominating.items() for i in cands if leader.cost_le(i, j)
     }
     return sorted((i, j) for i, j in pairs if not ((j, i) in pairs and j < i))
 
@@ -172,7 +171,7 @@ def fractional_candidate(
         raise ValueError(f"unknown fractional strategy {strategy!r}")
     s_hat, order = follower.greedy(oracle, ground, knapsacks=knapsacks)
     if cut_family == "improved":
-        s_hat, order = follower.greedy(oracle, range(n), knapsacks, s_hat, order)
+        s_hat, order = follower.greedy(oracle, range(n), knapsacks, order)
     return s_hat, order
 
 
@@ -183,7 +182,7 @@ def _build_cuts(
     s_hat: Iterable[int],
     ordering: Sequence[int],
     x_star: Sequence[float],
-    dominating: DominatingLists,
+    dominating: Mapping[int, Tuple[int, ...]],
     with_alternative: bool,
 ) -> List[Cut]:
     if config.cut_family == "improved":
@@ -206,7 +205,7 @@ def separate_fractional(
     knapsacks: KnapsackSystem,
     leader: KnapsackSystem,
     config: SolverConfig,
-    dominating: DominatingLists,
+    dominating: Mapping[int, Tuple[int, ...]],
     w_star: float,
     x_star: Sequence[float],
 ) -> List[Cut]:
@@ -233,13 +232,13 @@ def separate_integer(
     config: SolverConfig,
     w_star: float,
     x_star: Sequence[float],
-    dominating: DominatingLists,
+    dominating: Mapping[int, Tuple[int, ...]],
     phi_cache: Dict[frozenset, Tuple[float, frozenset]],
     time_budget: float | None = None,
 ) -> Tuple[List[Cut], Optional[float]]:
     """Exact separation at a binary leader point: one follower solve, which
-    under E runs in cutoff mode at w* (its greedy start alone may already
-    beat w*).  Returns ([], phi) when no violated cut exists, meaning the
+    under E runs in cutoff mode at w* + VIOL_TOL, the same test as for an
+    exact value (its greedy start alone may already exceed it).  Returns ([], phi) when no violated cut exists, meaning the
     candidate is incumbent-acceptable with exactly that defended value;
     otherwise a violated cut list and, when the follower run happened to be
     exact, the value alongside."""
@@ -253,7 +252,7 @@ def separate_integer(
     else:
         res = follower.solve_sep(
             oracle, avail, knapsacks,
-            cutoff=w_star if config.enable_enhanced_int_sep else None,
+            cutoff=w_star + VIOL_TOL if config.enable_enhanced_int_sep else None,
             time_budget=time_budget,
         )
         if res.status == follower.OPTIMAL:
@@ -292,7 +291,7 @@ class InterdictionSolver:
         self.knapsacks = instance.knapsacks()
         self.leader = instance.leader_budget()
         need_lists = config.enable_lift or config.enable_dominance
-        self.dominating = instance.dominating_lists() if need_lists else DominatingLists.empty()
+        self.dominating = instance.dominating_lists() if need_lists else {}
         self.phi_cache: Dict[frozenset, Tuple[float, frozenset]] = {}
         self.cut_counts = {f: 0 for f in (cutgen.BASIC, cutgen.IMPROVED, cutgen.LIFTED, cutgen.ALTERNATIVE)}
         self.events: List[Dict[str, object]] = []

@@ -17,7 +17,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .core import Evaluator, KnapsackSystem, SubmodularOracle
-from .cuts import DominatingLists
 
 RNG_NAME = "pcg64"  # np.random.PCG64 seeded directly; draw order is documented
                     # in each generator
@@ -44,7 +43,7 @@ class _Game:
         """The follower's objective."""
         return CoverageOracle(*self._coverage())
 
-    def dominating_lists(self) -> DominatingLists:
+    def dominating_lists(self) -> Dict[int, Tuple[int, ...]]:
         """j can replace i when j reaches everything i reaches, with at least
         the same probability, and costs the follower no more (a cheap
         sufficient test, pairwise scan)."""
@@ -59,7 +58,7 @@ class _Game:
             )
             if cands:
                 lists[i] = cands
-        return DominatingLists(lists=lists)
+        return lists
 
 
 def _check_profits(profits, where: str = "") -> None:
@@ -154,26 +153,6 @@ class BiigInstance(_Game):
         return tuple(zip(map(frozenset, out), self.probs)), (1.0,) * self.targets
 
 
-class CoverageOracle(SubmodularOracle):
-    """z(S) = sum over targets j of w_j * (1 - prod_{i in S reaching j} (1 - p_i)),
-    from each item's reach (targets and probability) and the target weights."""
-
-    def __init__(self, reach: Tuple[Tuple[frozenset, float], ...], weights: Tuple[float, ...]):
-        super().__init__()
-        self.n = len(reach)
-        self.neighbors = tuple(tuple(sorted(hit)) for hit, _ in reach)
-        self.probs = tuple(p for _, p in reach)
-        self.weights = tuple(float(w) for w in weights)
-        hitters: List[List[int]] = [[] for _ in self.weights]
-        for i, hit in enumerate(self.neighbors):
-            for j in hit:
-                hitters[j].append(i)
-        self.hitters = tuple(tuple(h) for h in hitters)
-
-    def scratch(self) -> "_CoverageEvaluator":
-        return _CoverageEvaluator(self)
-
-
 class _CoverageEvaluator(Evaluator):
     """Keeps each target's survival product, recomputed over the member
     hitters in ascending order: a survival, and so a gain, does not depend on
@@ -222,6 +201,25 @@ class _CoverageEvaluator(Evaluator):
         return g
 
 
+class CoverageOracle(SubmodularOracle):
+    """z(S) = sum over targets j of w_j * (1 - prod_{i in S reaching j} (1 - p_i)),
+    from each item's reach (targets and probability) and the target weights."""
+
+    evaluator = _CoverageEvaluator
+
+    def __init__(self, reach: Tuple[Tuple[frozenset, float], ...], weights: Tuple[float, ...]):
+        super().__init__()
+        self.n = len(reach)
+        self.neighbors = tuple(tuple(sorted(hit)) for hit, _ in reach)
+        self.probs = tuple(p for _, p in reach)
+        self.weights = tuple(float(w) for w in weights)
+        hitters: List[List[int]] = [[] for _ in self.weights]
+        for i, hit in enumerate(self.neighbors):
+            for j in hit:
+                hitters[j].append(i)
+        self.hitters = tuple(tuple(h) for h in hitters)
+
+
 def gen_wmcig(n: int, r: float, k_frac: float, seed: int) -> WmcigInstance:
     """Random coverage instance: n customer points uniform in [0,10]^2,
     facility sites co-located with customers, integer profits in [1,100],
@@ -263,8 +261,6 @@ def gen_biig(n: int, m_mult: int, B: int, k: int, d: float, seed: int) -> BiigIn
         raise ValueError("n and m_mult must be positive")
     if not 0.0 < d <= 1.0:
         raise ValueError("arc density must lie in (0, 1]")
-    if B < 0 or k < 0:
-        raise ValueError("budgets must be non-negative")
     rng = np.random.Generator(np.random.PCG64(seed))
     m = m_mult * n
     probs = rng.uniform(0.0, 1.0, size=n)

@@ -8,20 +8,6 @@ from subig.core import Evaluator, KnapsackSystem, SubmodularOracle
 from subig.problems import BiigInstance, WmcigInstance
 
 
-class ModularOracle(SubmodularOracle):
-    """Additive function z(S) = sum of per-item weights; the modular baseline."""
-
-    def __init__(self, weights: Sequence[float]):
-        super().__init__()
-        self.weights = np.asarray(weights, dtype=float)
-        if np.any(self.weights < 0):
-            raise ValueError("modular weights must be non-negative")
-        self.n = len(self.weights)
-
-    def scratch(self) -> "_ModularEvaluator":
-        return _ModularEvaluator(self)
-
-
 class _ModularEvaluator(Evaluator):
     def add(self, i):
         if i not in self.members:
@@ -35,6 +21,19 @@ class _ModularEvaluator(Evaluator):
 
     def gain(self, i):
         return 0.0 if i in self.members else float(self._oracle.weights[i])
+
+
+class ModularOracle(SubmodularOracle):
+    """Additive function z(S) = sum of per-item weights; the modular baseline."""
+
+    evaluator = _ModularEvaluator
+
+    def __init__(self, weights: Sequence[float]):
+        super().__init__()
+        self.weights = np.asarray(weights, dtype=float)
+        if np.any(self.weights < 0):
+            raise ValueError("modular weights must be non-negative")
+        self.n = len(self.weights)
 
 
 @pytest.fixture

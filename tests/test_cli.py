@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import os
 import subprocess
@@ -27,6 +28,23 @@ def test_generate_solve_verify_wmcig(tmp_path, capsys):
     assert float(record["gap_pct"]) == 0.0
     rc = cli.main(["verify", str(path), "--setting", "B-S1"])
     assert rc == 0
+
+
+def test_solve_limit_flags_and_out_file(tmp_path, capsys):
+    path = tmp_path / "d.wmcig"
+    inst = dataclasses.replace(problems.gen_wmcig(12, 2, 0.2, 8), B=3, k=3)
+    problems.write_instance(inst, str(path))
+    rec = tmp_path / "rec.csv"
+    assert cli.main(["solve", str(path), "--setting", "B-S1", "--node-limit", "1",
+                     "--out", str(rec)]) == 0
+    printed = capsys.readouterr().out
+    assert rec.read_bytes() == printed.encode()
+    (record,) = csv.DictReader(io.StringIO(printed))
+    assert record["status"] == "node_limit" and record["nodes"] == "1"
+
+    assert cli.main(["solve", str(path), "--setting", "B-S1", "--time-limit", "0"]) == 0
+    (record,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert record["status"] == "time_limit" and record["nodes"] == "0"
 
 
 def test_verify_biig(tmp_path):

@@ -155,7 +155,8 @@ def test_scratch_matches_value_after_churn(cover_example, bipartite_example):
     evaluation's exactly, and so does a coverage value; a probabilistic value
     is a running sum whose last bits depend on the order of the updates.
     Items at p = 1.0 drive survivals to 0.0, which adding another item
-    leaves at 0.0."""
+    leaves at 0.0.  An evaluator built for a set holds exactly the value of
+    that set, whatever churn came before."""
     certain = BiigInstance(
         probs=(1.0, 0.0, 0.5, 1.0, 0.25),
         targets=4,
@@ -180,3 +181,5 @@ def test_scratch_matches_value_after_churn(cover_example, bipartite_example):
             assert [ev.gain(t) for t in range(orc.n)] == [
                 orc.gain(ev.members, t) for t in range(orc.n)
             ]
+        assert orc.scratch(ev.members).value == orc.value(ev.members)
+        assert orc.scratch().value == 0.0

@@ -5,7 +5,6 @@ import pytest
 
 from subig import cuts
 from subig.bruteforce import brute_force_phi
-from subig.cuts import DominatingLists
 from subig.problems import gen_wmcig
 
 from conftest import ModularOracle, all_binary_vectors
@@ -63,7 +62,7 @@ def test_lift_sic_examples(cover_example, bipartite_example):
     assert lifted.pairs == ((0, 2, 4.0),)
     assert lifted.c0 == 24.0 and lifted.g == {0: -11.0, 1: -9.0, 2: -4.0}
 
-    unchlifted = cuts.lift_sic(worc, {0, 1}, base, [0.0, 0.0, 0.0], DominatingLists.empty())
+    unchlifted = cuts.lift_sic(worc, {0, 1}, base, [0.0, 0.0, 0.0], {})
     assert unchlifted is base
 
     borc = bipartite_example.oracle()

@@ -26,10 +26,10 @@ def test_greedy_examples(cover_example, bipartite_example):
     assert borc.value(s) == pytest.approx(1.6, abs=1e-9)
 
 
-def test_greedy_extends_seed_order(cover_example):
+def test_greedy_extends_the_seed(cover_example):
     worc = cover_example.oracle()
     knap = cover_example.knapsacks()
-    s, order = follower.greedy(worc, range(3), knap, {0}, (0,))
+    s, order = follower.greedy(worc, range(3), knap, (0,))
     assert order[0] == 0 and s >= {0}
     assert len(order) == len(s) == 2
 
@@ -43,10 +43,15 @@ def test_greedy_is_maximal(cover_example):
 
 
 def test_greedy_rejects_infeasible_seed(cover_example):
-    with pytest.raises(ValueError):
-        follower.greedy(
-            cover_example.oracle(), range(3), cover_example.knapsacks(), {0, 1, 2}, (0, 1, 2)
-        )
+    with pytest.raises(ValueError, match="violates a knapsack constraint"):
+        follower.greedy(cover_example.oracle(), range(3), cover_example.knapsacks(), (0, 1, 2))
+
+
+def test_greedy_rejects_a_seed_that_repeats_an_item(cover_example):
+    """improved_sic would take a repeated item's coefficient from a prefix
+    that already holds it."""
+    with pytest.raises(ValueError, match="seed repeats an item"):
+        follower.greedy(cover_example.oracle(), range(3), cover_example.knapsacks(), (0, 0))
 
 
 @pytest.mark.parametrize("items", [5, 12])
@@ -82,9 +87,10 @@ def test_solve_sep_cutoff_mode(cover_example):
     res = follower.solve_sep(worc, [0, 1, 2], knap, cutoff=10.0)
     assert res.status == CUTOFF_EXCEEDED
     assert res.value > 10.0 + 1e-6
-    # cutoff above the optimum: runs to completion
-    res = follower.solve_sep(worc, [0, 1, 2], knap, cutoff=30.0)
-    assert res.status == OPTIMAL and res.value == 24.0
+    # cutoff at or above the optimum: only a value above it returns early
+    for cutoff in (24.0, 30.0):
+        res = follower.solve_sep(worc, [0, 1, 2], knap, cutoff=cutoff)
+        assert res.status == OPTIMAL and res.value == 24.0
 
 
 def test_solve_sep_times_out(cover_example):

@@ -1,10 +1,10 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from subig import bruteforce, follower, master
-from subig.cuts import DominatingLists
+from subig import bruteforce, cuts, follower, master
 from subig.master import SolverConfig
 from subig.problems import WmcigInstance, gen_biig, gen_wmcig
 
@@ -39,7 +39,7 @@ def test_solve_bipartite_example(bipartite_example):
 def test_separate_integer_examples(cover_example, bipartite_example):
     worc = cover_example.oracle()
     built, phi_val = master.separate_integer(
-        worc, cover_example.knapsacks(), cfg("I-S1"), 0.0, [0, 1, 0], DominatingLists.empty(), {}
+        worc, cover_example.knapsacks(), cfg("I-S1"), 0.0, [0, 1, 0], {}, {}
     )
     assert len(built) == 1
     assert built[0].c0 == 15.0
@@ -47,13 +47,13 @@ def test_separate_integer_examples(cover_example, bipartite_example):
     assert phi_val == 15.0  # exact path solves the follower to optimality
 
     built, phi_val = master.separate_integer(
-        worc, cover_example.knapsacks(), cfg("I-S1"), 15.0, [0, 1, 0], DominatingLists.empty(), {}
+        worc, cover_example.knapsacks(), cfg("I-S1"), 15.0, [0, 1, 0], {}, {}
     )
     assert built == [] and phi_val == 15.0
 
     borc = bipartite_example.oracle()
     built, _ = master.separate_integer(
-        borc, bipartite_example.knapsacks(), cfg("I-S1"), 1.0, [0, 0, 0], DominatingLists.empty(), {}
+        borc, bipartite_example.knapsacks(), cfg("I-S1"), 1.0, [0, 0, 0], {}, {}
     )
     assert len(built) == 1
     assert built[0].c0 == pytest.approx(1.6, abs=1e-9)
@@ -63,7 +63,7 @@ def test_separate_integer_examples(cover_example, bipartite_example):
 def test_separate_integer_enhanced_uses_greedy(cover_example):
     worc = cover_example.oracle()
     built, phi_val = master.separate_integer(
-        worc, cover_example.knapsacks(), cfg("IE-S1"), 10.0, [0, 1, 0], DominatingLists.empty(), {}
+        worc, cover_example.knapsacks(), cfg("IE-S1"), 10.0, [0, 1, 0], {}, {}
     )
     assert len(built) == 1 and built[0].c0 == 15.0
     assert phi_val is None  # greedy shortcut skips the exact solve
@@ -83,7 +83,7 @@ def test_separate_integer_enhanced_paths(cover_example, bipartite_example):
     """The E paths beyond the greedy shortcut of the test above."""
     worc = cover_example.oracle()
     knap = cover_example.knapsacks()
-    none = DominatingLists.empty()
+    none = {}
     # no violated cut at w* = phi: the cutoff solve runs to optimality
     phi_val = follower.phi(worc, [0, 1, 0], knap)
     built, got = master.separate_integer(worc, knap, cfg("IE-S1"), phi_val, [0, 1, 0], none, {})
@@ -121,7 +121,7 @@ def test_separate_integer_enhanced_runs_greedy_once(monkeypatch):
     trap = _greedy_trap()
     built, _ = master.separate_integer(
         trap.oracle(), trap.knapsacks(), cfg("IE-S1"), 9.0, [0, 0, 0],
-        DominatingLists.empty(), {},
+        {}, {},
     )
     assert built[0].c0 == 10.0
     assert len(calls) == 1
@@ -327,6 +327,78 @@ def test_time_limit_status():
     inst = gen_wmcig(12, 2, 0.2, 8)
     res = master.solve(inst, inst.oracle(), cfg("B-S1", time_limit=0.0))
     assert res.status == "time_limit"
+
+
+def test_follower_timeout_inside_a_node_stops_the_run(monkeypatch):
+    """A FollowerTimeout from a node's exact separation ends the run with
+    status time_limit; the node goes back on the heap, so the lower bound
+    stays a valid bound."""
+    inst = dataclasses.replace(gen_wmcig(9, 3, 0.2, 0), B=2, k=2)
+    orc = inst.oracle()
+    optimum = bruteforce.brute_force_solve(inst, orc).value
+    calls = []
+    real_solve_sep = follower.solve_sep
+
+    def second_call_times_out(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise follower.FollowerTimeout("follower subproblem exceeded its time budget")
+        return real_solve_sep(*args, **kwargs)
+
+    monkeypatch.setattr(follower, "solve_sep", second_call_times_out)
+    res = master.solve(inst, orc, cfg("I-S1"))
+    assert len(calls) == 2
+    assert res.status == "time_limit"
+    assert res.lower_bound <= optimum
+    if res.value is not None:
+        assert res.lower_bound <= res.value
+
+
+def test_node_out_of_time_before_its_lp(monkeypatch, cover_example):
+    """The clock runs out between the loop-top check and the node's own
+    check: the node raises, and the run stops with its bound open."""
+    ticks = iter([0.0, 0.0])  # the start and the loop-top check; then past the deadline
+    monkeypatch.setattr(master, "time", SimpleNamespace(monotonic=lambda: next(ticks, 100.0)))
+    lp_calls = []
+    monkeypatch.setattr(master, "solve_lp", lambda *args: lp_calls.append(args))
+    res = master.solve(cover_example, cover_example.oracle(), cfg("I-S1", time_limit=10.0))
+    assert res.status == "time_limit" and lp_calls == []
+    assert res.nodes == 0 and res.value is None and res.lower_bound == 0.0
+
+
+@pytest.mark.parametrize("setting, reported", [("I-S1", True), ("IE-S1", False)])
+def test_integer_point_whose_cuts_are_all_rows_is_accepted_at_phi(
+    monkeypatch, cover_example, setting, reported
+):
+    """When every cut an integer separation returns is already a row, the
+    node accepts its point at the exact defended value: the one the
+    separation reports, or else one follower.phi run (E mode may report
+    none)."""
+    orc = cover_example.oracle()
+    knap = cover_example.knapsacks()
+    solver = master.InterdictionSolver(cover_example, orc, cfg(setting))
+    x_hat = (0, 1, 0)
+    phi_exact = follower.phi(orc, x_hat, knap)
+    s0, _ = follower.greedy(orc, range(orc.n), knapsacks=knap)
+    root_cut = cuts.improved_sic(orc, s0, cuts.default_ordering(orc, s0))
+    monkeypatch.setattr(
+        master, "separate_integer",
+        lambda *args, **kwargs: ([root_cut], phi_exact if reported else None),
+    )
+    phi_calls = []
+    real_phi = follower.phi
+
+    def counting_phi(*args, **kwargs):
+        phi_calls.append(args)
+        return real_phi(*args, **kwargs)
+
+    monkeypatch.setattr(follower, "phi", counting_phi)
+    rows = solver.model.n_rows
+    node = master._Node(bound=0.0, seq=0, fixings=dict(enumerate(x_hat)))
+    _, incumbent, children = solver._process_node(node, None, lambda: 100.0)
+    assert solver.model.n_rows == rows  # the cut was a duplicate
+    assert incumbent == (phi_exact, x_hat) and children == []
+    assert len(phi_calls) == (0 if reported else 1)
 
 
 def test_solver_matches_brute_force_spot():

@@ -51,10 +51,10 @@ def test_oracle_matches_closed_form(bipartite_example):
 
 def test_wmcig_superiority(cover_example):
     dom = cover_example.dominating_lists()
-    assert dom.candidates(0) == (2,)  # site 2's coverage contains site 0's
-    assert dom.candidates(1) == ()
+    assert dom.get(0) == (2,)  # site 2's coverage contains site 0's
+    assert 1 not in dom
     disjoint = WmcigInstance(profits=(1, 1), cover=(frozenset({0}), frozenset({1})), B=1, k=1)
-    assert dict(disjoint.dominating_lists().lists) == {}
+    assert disjoint.dominating_lists() == {}
 
 
 def test_wmcig_replaced_site_gains_nothing_next_to_its_replacement():
@@ -66,7 +66,7 @@ def test_wmcig_replaced_site_gains_nothing_next_to_its_replacement():
         orc = inst.oracle()
         dom = inst.dominating_lists()
         for a in range(inst.n):
-            for b in dom.candidates(a):
+            for b in dom.get(a, ()):
                 assert orc.gain({b}, a) == 0.0
                 pairs += 1
     assert pairs > 0
@@ -74,9 +74,9 @@ def test_wmcig_replaced_site_gains_nothing_next_to_its_replacement():
 
 def test_biig_superiority(bipartite_example):
     dom = bipartite_example.dominating_lists()
-    assert 2 in dom.candidates(0)  # neighbors {0} within {0,2}, prob 0.4 >= 0.3
-    assert 1 in dom.candidates(0)
-    assert dom.candidates(1) == ()
+    assert 2 in dom[0]  # neighbors {0} within {0,2}, prob 0.4 >= 0.3
+    assert 1 in dom[0]
+    assert 1 not in dom
 
 
 def test_gen_wmcig_params_and_determinism():
@@ -114,6 +114,12 @@ def test_gen_biig_params_and_determinism():
         gen_biig(20, 2, 5, 5, 1.5, 0)
     with pytest.raises(ValueError):
         gen_biig(0, 2, 5, 5, 0.1, 0)
+
+
+@pytest.mark.parametrize("B, k", [(-1, 1), (1, -1)])
+def test_gen_biig_rejects_a_negative_budget(B, k):
+    with pytest.raises(ValueError, match="budgets must be non-negative"):
+        gen_biig(6, 2, B, k, 0.3, 1)
 
 
 def test_wmcig_file_roundtrip(tmp_path, cover_example):
@@ -241,7 +247,7 @@ def test_superiority_lists_are_sound():
             orc = inst.oracle()
             dom = inst.dominating_lists()
             checked = 0
-            for i, cands in dom.lists.items():
+            for i, cands in dom.items():
                 for j in cands:
                     for _ in range(200):
                         S = {t for t in range(inst.n) if rng.random() < 0.5}
@@ -253,5 +259,5 @@ def test_superiority_lists_are_sound():
                                 continue
                             assert orc.gain(swapped, t) <= orc.gain(S, t) + 1e-9
                             checked += 1
-            if dom.lists:
+            if dom:
                 assert checked > 0
