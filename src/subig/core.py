@@ -57,7 +57,8 @@ class Evaluator:
 
 
 class SubmodularOracle:
-    """Base class; subclasses provide ``n`` and a concrete ``evaluator``."""
+    """Base class; subclasses provide ``n`` and either a concrete
+    ``evaluator`` or their own ``value``, which the generic one reads."""
 
     n: int = 0
     evaluator = Evaluator
@@ -74,6 +75,12 @@ class SubmodularOracle:
         return ev
 
     def value(self, items: Iterable[int]) -> float:
+        if self.evaluator.add is Evaluator.add:
+            # the generic evaluator reads ``value`` itself, so one of the two
+            # must be concrete
+            raise NotImplementedError(
+                f"{type(self).__name__} must override value or set an evaluator that overrides add"
+            )
         return self.scratch(self._validated(items)).value
 
     def gain(self, items: Iterable[int], i: int) -> float:

@@ -5,7 +5,9 @@ The node relaxation is  min w  over the leader polytope plus all interdiction
 cuts accumulated so far (cuts are globally valid and never dropped).  Integer
 candidates are separated exactly through the follower solver; fractional
 points get one heuristic separation round per node (strategies S1/S2/S3).
-Node selection is best-bound, branching is most-fractional.
+Node selection is best-bound, branching is most-fractional.  Only the root
+LP starts cold: each later LP starts from the optimal basis of the one
+before it, which a child node inherits from its parent.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import follower
 from .core import KnapsackSystem, SubmodularOracle
 from .cuts import Cut
 from .follower import INT_TOL, FollowerTimeout
-from .lp import LpModel, solve_lp, INFEASIBLE
+from .lp import Basis, LpModel, solve_lp, INFEASIBLE
 
 VIOL_TOL = 1e-6
 FRAC_VIOLATION_THRESHOLD = 0.01  # relative violation a fractional cut must exceed
@@ -273,6 +275,7 @@ class _Node:
     bound: float
     seq: int
     fixings: Dict[int, int] = field(compare=False)
+    basis: Optional[Basis] = field(default=None, compare=False)  # the parent's last LP
 
 
 def _capped(bound: float, inc_val: Optional[float]) -> float:
@@ -350,7 +353,7 @@ class InterdictionSolver:
                 break
             node = heapq.heappop(heap)
             try:
-                bound, incumbent, children = self._process_node(node, inc_val, remaining)
+                bound, incumbent, children, basis = self._process_node(node, inc_val, remaining)
             except FollowerTimeout:
                 status = STATUS_TIME
                 heapq.heappush(heap, node)
@@ -358,7 +361,7 @@ class InterdictionSolver:
             if incumbent is not None and (inc_val is None or incumbent[0] < inc_val - 1e-12):
                 inc_val, inc_x = incumbent
             for fixings in children:
-                heapq.heappush(heap, _Node(bound=bound, seq=next(seq), fixings=fixings))
+                heapq.heappush(heap, _Node(bound, next(seq), fixings, basis))
             self.events.append(
                 {
                     "node": len(self.events) + 1,
@@ -385,19 +388,23 @@ class InterdictionSolver:
         )
 
     def _process_node(self, node: _Node, inc_val: Optional[float], remaining):
-        """(bound, incumbent or None, fixings of each child) of one node."""
+        """(bound, incumbent or None, fixings of each child, last LP basis)
+        of one node.  Each LP starts from the basis of the one before it: the
+        parent's last, then this node's previous round.  A fixing or a new
+        cut row keeps that basis dual feasible."""
         fixed = {j: float(v) for j, v in node.fixings.items()}
         frac_done = False
         incumbent = None
         children: List[Dict[int, int]] = []
         bound = node.bound
+        basis = node.basis
         while True:
             if remaining() <= 0:
                 raise FollowerTimeout("node processing out of time")
-            res = solve_lp(self.model, fixed)
+            res = solve_lp(self.model, fixed, basis)
             if res.status == INFEASIBLE:
                 break
-            bound = res.objective
+            bound, basis = res.objective, res.basis
             if inc_val is not None and bound >= inc_val - VIOL_TOL:
                 break
             xs = res.x[: self.n].tolist()
@@ -448,7 +455,7 @@ class InterdictionSolver:
                 if val == 0 or self.leader.fits(j for j, v in fixings.items() if v == 1):
                     children.append(fixings)
             break
-        return bound, incumbent, children
+        return bound, incumbent, children, basis
 
 
 def solve(instance, oracle: SubmodularOracle, config: SolverConfig) -> SolveResult:

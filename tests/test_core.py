@@ -63,6 +63,19 @@ def test_rho_maps(cover_example, bipartite_example):
             assert -1e-12 <= rf[i] <= r0[i] + 1e-12
 
 
+def test_oracle_without_value_or_evaluator_says_so():
+    """The generic evaluator reads the oracle's value, so an oracle that
+    overrides neither fails with a clear error, not endless recursion."""
+
+    class Bare(SubmodularOracle):
+        n = 3
+
+    for query in (lambda o: o.value({1}), lambda o: o.gain({0}, 1), lambda o: o.scratch({1})):
+        with pytest.raises(NotImplementedError, match="Bare must override value"):
+            query(Bare())
+    assert SquaredSizeOracle(3).scratch({0, 2}).value == 4.0  # value alone suffices
+
+
 def test_check_submodular_monotone_passes_on_models():
     inst = gen_wmcig(10, 2, 0.1, seed=1)
     report = core.check_submodular_monotone(inst.oracle(), trials=1000, rng_seed=1)

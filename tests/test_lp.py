@@ -99,6 +99,31 @@ def test_resolve_is_bit_identical():
     assert np.array_equal(first.x, second.x)
 
 
+def test_basis_that_is_not_dual_feasible_falls_back_to_cold():
+    m = LpModel("min")
+    x1 = m.add_var(0.0, 1.0, obj=-1.0)
+    x2 = m.add_var(0.0, 1.0, obj=-2.0)
+    m.add_row({x1: 1.0, x2: 1.0}, 1.5)
+    fixed = solve_lp(m, {x2: 0.0})
+    assert fixed.status == OPTIMAL and fixed.objective == pytest.approx(-1.0, abs=1e-9)
+    # released, x2 sits at 0 with reduced cost -2: the start is not dual feasible
+    warm = solve_lp(m, basis=fixed.basis)
+    cold = solve_lp(m)
+    assert warm.status == OPTIMAL and warm.objective == pytest.approx(-2.5, abs=1e-9)
+    assert np.array_equal(warm.x, cold.x)  # the cold path, unchanged
+
+
+def test_basis_from_a_larger_model_is_rejected():
+    m = LpModel("min")
+    x = m.add_var(0.0, 1.0, obj=1.0)
+    m.add_row({x: 1.0}, 1.0)
+    big = solve_lp(m)
+    small = LpModel("min")
+    small.add_var(0.0, 1.0, obj=1.0)
+    with pytest.raises(ValueError, match="larger model"):
+        solve_lp(small, basis=big.basis)
+
+
 def _vertices(rows, rhs, lows, ups):
     """All vertices of {A x <= b, l <= x <= u} in three dimensions, by
     intersecting triples of tight constraints."""
@@ -269,13 +294,13 @@ def _random_lp(rng):
     return "min" if rng.random() < 0.5 else "max", obj, lows, ups, np.array(rows), np.array(rhs)
 
 
-def _solve_embedded(sense, obj, lows, ups, rows, rhs):
+def _embed(sense, obj, lows, ups, rows, rhs):
     m = LpModel(sense)
     for j in range(len(obj)):
         m.add_var(lows[j], ups[j], obj=float(obj[j]))
     for coefs, b in zip(rows, rhs):
         m.add_row({j: float(c) for j, c in enumerate(coefs) if c != 0.0}, float(b))
-    return solve_lp(m)
+    return m
 
 
 _DIFFERENTIAL_LPS = 150
@@ -291,7 +316,7 @@ def test_against_highs():
     seen = set()
     for _ in range(_DIFFERENTIAL_LPS):
         sense, obj, lows, ups, rows, rhs = _random_lp(rng)
-        res = _solve_embedded(sense, obj, lows, ups, rows, rhs)
+        res = solve_lp(_embed(sense, obj, lows, ups, rows, rhs))
         sign = 1.0 if sense == "min" else -1.0
         ref = linprog(sign * obj, A_ub=rows, b_ub=rhs, bounds=list(zip(lows, ups)), method="highs")
         assert res.status == statuses[ref.status]
@@ -301,9 +326,71 @@ def test_against_highs():
     assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
 
+def _grown_lp(rng):
+    """A `_random_lp` model solved with half its rows, then given the rest
+    and random fixings inside the bounds (about one column in six).
+    Returns the data with the fixed bounds, the full model, the fixings and
+    the basis of the half-row solve."""
+    sense, obj, lows, ups, rows, rhs = _random_lp(rng)
+    m = LpModel(sense)
+    for j in range(len(obj)):
+        m.add_var(lows[j], ups[j], obj=float(obj[j]))
+
+    def add(coefs, b):
+        m.add_row({j: float(c) for j, c in enumerate(coefs) if c != 0.0}, float(b))
+
+    half = len(rows) // 2
+    for coefs, b in zip(rows[:half], rhs[:half]):
+        add(coefs, b)
+    basis = solve_lp(m).basis
+    for coefs, b in zip(rows[half:], rhs[half:]):
+        add(coefs, b)
+    fixed = {}
+    for j in np.flatnonzero(rng.random(len(obj)) < 0.15).tolist():
+        value = rng.uniform(max(lows[j], -2.0), min(ups[j], 2.0))
+        fixed[j] = float(np.round(value)) if rng.random() < 0.7 else float(value)
+    fixed_lows = [fixed.get(j, lo) for j, lo in enumerate(lows)]
+    fixed_ups = [fixed.get(j, hi) for j, hi in enumerate(ups)]
+    return (sense, obj, fixed_lows, fixed_ups, rows, rhs), m, fixed, basis
+
+
+def test_warm_resolve_matches_cold_and_highs(monkeypatch):
+    """After rows are added and columns fixed, a re-solve from the earlier
+    optimal basis reaches the cold solve's and HiGHS's status and objective,
+    in far fewer factorizations than the cold solves."""
+    from scipy.optimize import linprog
+
+    factorizations = []
+    lu_factor = lp.lu_factor
+    monkeypatch.setattr(lp, "lu_factor", lambda B: factorizations.append(1) or lu_factor(B))
+    rng = np.random.default_rng(2022)
+    statuses = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+    seen = set()
+    warm_iters = cold_iters = 0
+    for _ in range(_DIFFERENTIAL_LPS):
+        (sense, obj, lows, ups, rows, rhs), m, fixed, basis = _grown_lp(rng)
+        start = len(factorizations)
+        warm = solve_lp(m, fixed, basis)
+        middle = len(factorizations)
+        cold = solve_lp(m, fixed)
+        if basis is not None:
+            warm_iters += middle - start
+            cold_iters += len(factorizations) - middle
+        sign = 1.0 if sense == "min" else -1.0
+        ref = linprog(sign * obj, A_ub=rows, b_ub=rhs, bounds=list(zip(lows, ups)), method="highs")
+        assert warm.status == cold.status == statuses[ref.status]
+        if warm.status == OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+            assert warm.objective == pytest.approx(sign * ref.fun, abs=1e-7)
+        seen.add(warm.status)
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert warm_iters < cold_iters / 2
+
+
 def test_bland_fallback_matches_default(monkeypatch):
     """Bland's rule from the first degenerate pivot reaches the same status
-    and objective on the differential LPs, through different pivots."""
+    and objective on the differential LPs and on their warm re-solves,
+    through different pivots."""
     factorizations = []
     lu_factor = lp.lu_factor
 
@@ -313,17 +400,25 @@ def test_bland_fallback_matches_default(monkeypatch):
 
     monkeypatch.setattr(lp, "lu_factor", counting_lu_factor)
 
-    def run_all():
+    def run_all(solve_args):
         rng = np.random.default_rng(2021)
-        start = len(factorizations)
-        out = [_solve_embedded(*_random_lp(rng)) for _ in range(_DIFFERENTIAL_LPS)]
-        return out, len(factorizations) - start
+        out, iters = [], 0
+        for _ in range(_DIFFERENTIAL_LPS):
+            args = solve_args(rng)
+            start = len(factorizations)
+            out.append(solve_lp(*args))
+            iters += len(factorizations) - start
+        return out, iters
 
-    default, default_iters = run_all()
-    monkeypatch.setattr(lp, "DEGENERATE_LIMIT", 1)
-    bland, bland_iters = run_all()
-    assert bland_iters != default_iters  # the fallback took over somewhere
-    for a, b in zip(default, bland):
-        assert a.status == b.status
-        if a.status == OPTIMAL:
-            assert a.objective == pytest.approx(b.objective, abs=1e-7)
+    cold = lambda rng: (_embed(*_random_lp(rng)),)
+    warm = lambda rng: _grown_lp(rng)[1:]
+    for solve_args in (cold, warm):
+        monkeypatch.setattr(lp, "DEGENERATE_LIMIT", 1000)
+        default, default_iters = run_all(solve_args)
+        monkeypatch.setattr(lp, "DEGENERATE_LIMIT", 1)
+        bland, bland_iters = run_all(solve_args)
+        assert bland_iters != default_iters  # the fallback took over somewhere
+        for a, b in zip(default, bland):
+            assert a.status == b.status
+            if a.status == OPTIMAL:
+                assert a.objective == pytest.approx(b.objective, abs=1e-7)

@@ -395,10 +395,31 @@ def test_integer_point_whose_cuts_are_all_rows_is_accepted_at_phi(
     monkeypatch.setattr(follower, "phi", counting_phi)
     rows = solver.model.n_rows
     node = master._Node(bound=0.0, seq=0, fixings=dict(enumerate(x_hat)))
-    _, incumbent, children = solver._process_node(node, None, lambda: 100.0)
+    _, incumbent, children, _ = solver._process_node(node, None, lambda: 100.0)
     assert solver.model.n_rows == rows  # the cut was a duplicate
     assert incumbent == (phi_exact, x_hat) and children == []
     assert len(phi_calls) == (0 if reported else 1)
+
+
+@pytest.mark.parametrize("example", ["cover_example", "bipartite_example"])
+def test_warm_started_lps_give_the_cold_value(request, monkeypatch, example):
+    """Each node's LPs start from the last basis; every ladder setting must
+    reach the value of a run whose LPs all start cold."""
+    inst = request.getfixturevalue(example)
+    warm = {s: master.solve(inst, inst.oracle(), cfg(s)).value for s in master.LADDER_SETTINGS}
+    solve_lp = master.solve_lp
+    bases = []
+
+    def cold_solve_lp(model, fixed, basis):
+        bases.append(basis)
+        return solve_lp(model, fixed)
+
+    monkeypatch.setattr(master, "solve_lp", cold_solve_lp)
+    for setting in master.LADDER_SETTINGS:
+        assert master.solve(inst, inst.oracle(), cfg(setting)).value == pytest.approx(
+            warm[setting], abs=1e-9
+        )
+    assert any(b is not None for b in bases)  # the master hands bases on
 
 
 def test_solver_matches_brute_force_spot():
