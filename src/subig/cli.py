@@ -260,7 +260,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

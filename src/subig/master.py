@@ -5,9 +5,9 @@ The node relaxation is  min w  over the leader polytope plus all interdiction
 cuts accumulated so far (cuts are globally valid and never dropped).  Integer
 candidates are separated exactly through the follower solver; fractional
 points get one heuristic separation round per node (strategies S1/S2/S3).
-Node selection is best-bound, branching is most-fractional.  Only the root
-LP starts cold: each later LP starts from the optimal basis of the one
-before it, which a child node inherits from its parent.
+Node selection is best-bound, branching is most-fractional.  The root LP
+starts from the slack basis; each later LP starts from the optimal basis of
+the one before it, which a child node inherits from its parent.
 """
 
 from __future__ import annotations

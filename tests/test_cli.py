@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from subig import cli, problems
+from subig import cli, master, problems
 from subig.cli import RUN_COLUMNS
+from subig.lp import SolverError
 
 
 def test_generate_solve_verify_wmcig(tmp_path, capsys):
@@ -188,6 +189,19 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 def test_missing_file_exits_1(tmp_path, capsys):
     rc = cli.main(["solve", str(tmp_path / "nope.wmcig"), "--setting", "B-S1"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_numerical_failure_exits_1_without_a_traceback(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "e.wmcig"
+    problems.write_instance(problems.gen_wmcig(6, 1, 0.2, 0), str(path))
+
+    def fail(*args):
+        raise SolverError("singular basis matrix")
+
+    monkeypatch.setattr(master, "solve_lp", fail)
+    assert cli.main([command, str(path), "--setting", "B-S1"]) == 1
+    assert capsys.readouterr().err == "error: singular basis matrix\n"
 
 
 @pytest.mark.parametrize(
