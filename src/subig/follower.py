@@ -146,9 +146,11 @@ def solve_sep(
     if cutoff is not None and inc_val > cutoff:
         return SepResult(inc_set, inc_val, CUTOFF_EXCEEDED)
 
-    model = LpModel("max")
-    ycol = {i: model.add_var(0.0, 1.0) for i in items}
-    theta = model.add_var(0.0, ub_theta, obj=1.0)
+    # columns: y_i for each item in [0, 1], then the objective theta
+    ycol = {i: col for col, i in enumerate(items)}
+    theta = len(items)
+    ub = np.append(np.ones(theta), ub_theta)
+    model = LpModel(np.zeros(theta + 1), ub, np.append(np.zeros(theta), 1.0), "max")
     caps = knapsacks.caps
     for ell in range(knapsacks.L):
         coefs = {ycol[i]: knapsacks.costs[ell][i] for i in items if knapsacks.costs[ell][i] != 0.0}
@@ -183,30 +185,34 @@ def solve_sep(
             if not frac:
                 s_hat = [i for i in items if y_star[i] > 0.5]
                 z_s = oracle.scratch(s_hat).value
-                if theta_star > z_s + INT_TOL:
-                    if add_rows_for(s_hat, theta_star, y_star) > 0:
-                        continue
-                    # numerically stuck: accept the candidate value
+                overrated = theta_star > z_s + INT_TOL
+                if overrated and add_rows_for(s_hat, theta_star, y_star) > 0:
+                    continue
                 if z_s > inc_val + 1e-12:
                     inc_val = z_s
                     inc_set = frozenset(s_hat)
                     if cutoff is not None and inc_val > cutoff:
                         return SepResult(inc_set, inc_val, CUTOFF_EXCEEDED)
-                break
-            # heuristic generating set: prefix by decreasing y*, stop once a
-            # knapsack row first breaks (prefix kept as-is)
-            order = sorted(items, key=lambda i: (-y_star[i], i))
-            prefix: List[int] = []
-            weight = np.zeros(knapsacks.L)
-            for i in order:
-                prefix.append(i)
-                weight += knapsacks.item_cost(i)
-                if not knapsacks.fits_weight(weight):
+                if not overrated or len(fixings) == len(items):
                     break
-            if add_rows_for(prefix, theta_star, y_star) > 0:
-                continue
-            # branch on the most fractional variable
-            pick = min(frac, key=lambda i: (abs(y_star[i] - 0.5), i))
+                # the rows cut theta* off no further, so z(S) may not be the
+                # node's optimum: branch on the lowest unfixed id
+                pick = next(i for i in items if i not in fixings)
+            else:
+                # heuristic generating set: prefix by decreasing y*, stop once
+                # a knapsack row first breaks (prefix kept as-is)
+                order = sorted(items, key=lambda i: (-y_star[i], i))
+                prefix: List[int] = []
+                weight = np.zeros(knapsacks.L)
+                for i in order:
+                    prefix.append(i)
+                    weight += knapsacks.item_cost(i)
+                    if not knapsacks.fits_weight(weight):
+                        break
+                if add_rows_for(prefix, theta_star, y_star) > 0:
+                    continue
+                # branch on the most fractional variable
+                pick = min(frac, key=lambda i: (abs(y_star[i] - 0.5), i))
             stack.append({**fixings, pick: 0})
             stack.append({**fixings, pick: 1})  # explore inclusion first
             break

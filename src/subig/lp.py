@@ -1,12 +1,13 @@
 """Dense bounded-variable simplex for the small node relaxations.
 
-Rows are inequalities a.v <= b over variables with [lb, ub] bounds.  Every
-solve runs one loop from one start: the ``Basis`` of an earlier optimal
-result, or else the slack basis with every structural column at a bound.
-A basis carries the basic columns over structurals and slacks and each
-column's bound state; a later solve of the same model, which may have grown
-since, starts from it with new rows' slacks basic and new columns at a
-bound.
+An ``LpModel`` fixes its columns at construction, each with a finite lower
+bound and an upper bound that may be infinite, so no column is free.  Its
+rows are inequalities a.v <= b, kept in one dense array that only grows.
+Every solve runs one loop from one start: the ``Basis`` of an earlier
+optimal result, or else the slack basis with every structural column at a
+bound.  A basis carries the basic columns over structurals and slacks and
+each column's bound state; a later solve of the same model, which may have
+gained rows since, starts from it with the new rows' slacks basic.
 
 While the basis is primal infeasible, the loop takes bounded dual simplex
 pivots under the true costs, except that each column whose reduced cost
@@ -26,15 +27,16 @@ Each pivot factorizes the basis once with LAPACK's ``dgetrf`` and solves
 with ``dgetrs``: the routines ``scipy.linalg.lu_factor`` and ``lu_solve``
 wrap, called directly, so the pivots are bit-identical but the wrappers'
 per-call finite checks are gone.  Those checks live at model build instead:
-``add_row`` and ``add_var`` reject non-finite data, and ``solve_lp`` raises
-``SolverError`` on a non-finite optimal result.
+the ``LpModel`` constructor rejects NaN bounds, empty ranges and non-finite
+lower bounds and objectives, ``add_row`` and ``solve_lp`` non-finite rows and
+fixings, and ``solve_lp`` raises ``SolverError`` on a non-finite optimum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -59,10 +61,9 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Basis:
-    """An optimal basis of a model with ``n_vars`` columns: the basic column
-    ids over structurals then slacks, and every column's bound state."""
+    """An optimal basis: the basic column ids over structurals then slacks,
+    and every column's bound state."""
 
-    n_vars: int
     basic: np.ndarray
     stat: np.ndarray
 
@@ -76,39 +77,41 @@ class LpResult:
 
 
 class LpModel:
-    """LP that only grows: columns and rows are appended, and rows are
+    """LP over the columns given at construction whose rows only grow, kept
     deduplicated by exact content.  Node bounds are passed to each solve."""
 
-    def __init__(self, sense: str = "min"):
+    def __init__(self, lb, ub, obj, sense: str = "min"):
         if sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
         self.sense = sense
-        self.lb: List[float] = []
-        self.ub: List[float] = []
-        self.obj: List[float] = []
-        self.rows: List[Dict[int, float]] = []
-        self.rhs: List[float] = []
-        self._row_keys: Set[Tuple] = set()
+        self.lb = np.array(lb, dtype=float)
+        self.ub = np.array(ub, dtype=float)
+        self.obj = np.array(obj, dtype=float)
+        if not np.isfinite(self.obj).all():
+            raise ValueError("variable objectives must be finite")
+        # NaN fails the comparison; a finite lower bound leaves a finite value in the range
+        if not (np.isfinite(self.lb) & (self.lb <= self.ub)).all():
+            raise ValueError("variable bounds need a finite lower bound not above the upper one")
+        self._rows = np.empty((8, self.lb.size))  # capacity doubles when full
+        self._rhs = np.empty(8)
+        self._m = 0
+        self._row_keys: Set[Tuple[bytes, float]] = set()
 
     @property
     def n_vars(self) -> int:
-        return len(self.lb)
+        return self.lb.size
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self._m
 
-    def add_var(self, lb: float = 0.0, ub: float = 1.0, obj: float = 0.0) -> int:
-        if not math.isfinite(obj):
-            raise ValueError(f"variable objective {obj} is not finite")
-        # NaN fails the comparison; an infinite bound on the wrong side leaves
-        # no finite value in the range
-        if not lb <= ub or lb == math.inf or ub == -math.inf:
-            raise ValueError(f"variable bounds [{lb}, {ub}] hold no finite value")
-        self.lb.append(float(lb))
-        self.ub.append(float(ub))
-        self.obj.append(float(obj))
-        return len(self.lb) - 1
+    @property
+    def A(self) -> np.ndarray:
+        return self._rows[: self._m]
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return self._rhs[: self._m]
 
     def _check_var(self, j: int) -> None:
         if not 0 <= j < self.n_vars:
@@ -116,17 +119,23 @@ class LpModel:
 
     def add_row(self, coefs: Dict[int, float], rhs: float) -> bool:
         """a.v <= rhs; returns False, adding nothing, when the row is already present."""
-        for j in coefs:
+        row = np.zeros(self.n_vars)
+        for j, c in coefs.items():
             self._check_var(j)
-        row = {j: float(c) for j, c in coefs.items() if c != 0.0}
-        if not (math.isfinite(rhs) and all(map(math.isfinite, row.values()))):
+            row[j] = c
+        row += 0.0  # -0.0 becomes 0.0, so the key treats it as an absent entry
+        if not (math.isfinite(rhs) and np.isfinite(row).all()):
             raise ValueError("row coefficients and right-hand side must be finite")
-        key = (tuple(sorted(row.items())), float(rhs))
+        key = (row.tobytes(), float(rhs))
         if key in self._row_keys:
             return False
         self._row_keys.add(key)
-        self.rows.append(row)
-        self.rhs.append(float(rhs))
+        if self._m == self._rhs.size:
+            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+            self._rhs = np.concatenate([self._rhs, np.empty_like(self._rhs)])
+        self._rows[self._m] = row
+        self._rhs[self._m] = rhs
+        self._m += 1
         return True
 
 
@@ -140,8 +149,8 @@ def solve_lp(
     n = model.n_vars
     m = model.n_rows
     sign = 1.0 if model.sense == "min" else -1.0
-    lb = np.array(model.lb, dtype=float)
-    ub = np.array(model.ub, dtype=float)
+    lb = model.lb.copy()
+    ub = model.ub.copy()
     for j, value in (fixed or {}).items():
         model._check_var(j)
         if not math.isfinite(value):
@@ -151,22 +160,20 @@ def solve_lp(
         return LpResult(INFEASIBLE, np.zeros(n), 0.0)
 
     # columns: structurals, then one slack per row
-    A = np.zeros((m, n + m))
-    for r, coefs in enumerate(model.rows):
-        for j, cj in coefs.items():
-            A[r, j] = cj
-        A[r, n + r] = 1.0
-    b = np.asarray(model.rhs, dtype=float)
+    A = np.hstack([model.A, np.eye(m)])
+    b = model.rhs
     low = np.concatenate([lb, np.zeros(m)])
     up = np.concatenate([ub, np.full(m, np.inf)])
     c = np.zeros(n + m)
-    c[:n] = sign * np.asarray(model.obj, dtype=float)
+    c[:n] = sign * model.obj
 
     if basis is None:
         basic, stat = np.arange(n, n + m), np.full(n + m, _AT_LB)
     else:
         basic, stat = _grown(basis, n, m)
-    stat, x = _nonbasic_start(low, up, stat)
+    # a nonbasic column sits at the bound its state names if finite, else at its lower bound
+    stat = np.where(np.isfinite(up) & (stat == _AT_UB), _AT_UB, _AT_LB)
+    x = np.where(stat == _AT_UB, up, low)
     status = _simplex(A, b, low, up, c, basic, x, stat)
     if status == INFEASIBLE:
         return LpResult(INFEASIBLE, x[:n].copy(), 0.0)
@@ -175,33 +182,21 @@ def solve_lp(
     obj = sign * float(c @ x)
     if not (math.isfinite(obj) and np.isfinite(x).all()):
         raise SolverError("optimal solution is not finite")
-    kept = Basis(n, basic.astype(np.int32), stat.astype(np.int8))
+    kept = Basis(basic.astype(np.int32), stat.astype(np.int8))
     return LpResult(OPTIMAL, x[:n].copy(), obj, kept)
 
 
 def _grown(basis: Basis, n: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The basic ids and bound states of ``basis`` in a model grown to ``n``
-    columns and ``m`` rows: a new row's slack is basic, a new column is
-    nonbasic at its lower bound, and a slack's id moves up by the columns
-    added."""
-    old_n, old_m = basis.n_vars, basis.basic.size
-    if old_n > n or old_m > m:
-        raise ValueError("basis is from a larger model")
+    """The basic ids and bound states of ``basis`` in its model grown to
+    ``m`` rows: each new row's slack is basic."""
+    old_m = basis.basic.size
+    if basis.stat.size - old_m != n or old_m > m:
+        raise ValueError("basis is from another model")
     basic = np.arange(n, n + m)
-    basic[:old_m] = np.where(basis.basic < old_n, basis.basic, basis.basic + (n - old_n))
+    basic[:old_m] = basis.basic
     stat = np.full(n + m, _AT_LB)
-    stat[:old_n] = basis.stat[:old_n]
-    stat[n : n + old_m] = basis.stat[old_n:]
+    stat[: n + old_m] = basis.stat
     return basic, stat
-
-
-def _nonbasic_start(low, up, stat) -> Tuple[np.ndarray, np.ndarray]:
-    """Bound states and values of nonbasic columns: each sits at the bound
-    its state names when that bound is finite, else at its other finite
-    bound, else (free) at 0."""
-    at_ub = np.isfinite(up) & ((stat == _AT_UB) | ~np.isfinite(low))
-    x = np.where(at_ub, up, np.where(np.isfinite(low), low, 0.0))
-    return np.where(at_ub, _AT_UB, _AT_LB), x
 
 
 def lu_factor(B) -> Tuple[np.ndarray, np.ndarray]:
@@ -231,7 +226,6 @@ def _simplex(A, b, low, up, c, basis, x, stat) -> str:
     in_basis = np.zeros(total, dtype=bool)
     in_basis[basis] = True
     movable = low != up
-    free = np.isinf(low) & np.isinf(up)
     degenerate = 0
     bland = False
     d_tol = OPT_TOL * max(1.0, float(np.max(np.abs(c))) if total else 1.0)
@@ -242,8 +236,8 @@ def _simplex(A, b, low, up, c, basis, x, stat) -> str:
     for it in range(MAX_ITERATIONS):
         lu = lu_factor(A[:, basis])
         nb = ~in_basis
-        at_lb = (stat == _AT_LB) | free
-        at_ub = (stat == _AT_UB) | free
+        at_lb = stat == _AT_LB
+        at_ub = stat == _AT_UB
         xb = lu_solve(lu, b - A[:, nb] @ x[nb])
         x[basis] = xb
         if dual:
@@ -257,7 +251,7 @@ def _simplex(A, b, low, up, c, basis, x, stat) -> str:
         d = cost - A.T @ pi
         if not dual or it == 0:
             # a nonbasic column improves by rising off its lower bound or
-            # falling off its upper one; a free column may move either way
+            # falling off its upper one
             improving = nb & movable & ((at_lb & (d < -d_tol)) | (at_ub & (d > d_tol)))
 
         if dual:
@@ -283,8 +277,7 @@ def _simplex(A, b, low, up, c, basis, x, stat) -> str:
             if cand.size == 0:
                 return INFEASIBLE
             piv = np.abs(alpha[cand])
-            # a free column's reduced cost must stay 0, so it allows no step
-            dual_room = np.where(free[cand], 0.0, np.where(stat[cand] == _AT_UB, -d[cand], d[cand]))
+            dual_room = np.where(at_ub[cand], -d[cand], d[cand])
             ratio = np.maximum(dual_room, 0.0) / piv
             step = float(ratio.min())
             tied = ratio <= step + 1e-12

@@ -301,10 +301,10 @@ class InterdictionSolver:
         self._build_model()
 
     def _build_model(self):
-        model = LpModel("min")
-        for _ in range(self.n):
-            model.add_var(0.0, 1.0)
-        self.w = model.add_var(0.0, np.inf, obj=1.0)
+        # columns: x_0 .. x_{n-1} in [0, 1], then the objective w >= 0
+        self.w = self.n
+        ub = np.append(np.ones(self.n), np.inf)
+        model = LpModel(np.zeros(self.n + 1), ub, np.append(np.zeros(self.n), 1.0))
         for costs, cap in zip(self.leader.costs, self.leader.caps):
             model.add_row(dict(enumerate(costs)), cap)
         if self.config.enable_dominance:

@@ -132,6 +132,20 @@ def test_sep_matches_brute_force_on_random_instances():
         assert abs(res.value - ref) <= tol
 
 
+def test_integer_point_the_rows_cannot_cut_is_branched_on(monkeypatch):
+    """With no bounding rows, every integer LP point overrates z(S).  The
+    node records z(S) and branches; closing it on z(S) returned 11.08477
+    here, against the optimum 11.18166."""
+    inst = gen_biig(10, 2, 3, 2, 0.3, 2)
+    orc, knap = inst.oracle(), inst.knapsacks()
+    avail = [0, 1, 2, 4, 5, 6, 7, 9]
+    monkeypatch.setattr(follower, "bounding_rows", lambda *args: [])
+    res = follower.solve_sep(orc, avail, knap)
+    assert res.status == OPTIMAL
+    assert res.value == pytest.approx(brute_force_phi(orc, avail, knap), abs=1e-9)
+    assert res.value == orc.value(res.items) and knap.fits(res.items)
+
+
 def test_bounding_rows_hold_for_every_feasible_set():
     inst = gen_biig(6, 2, 3, 2, 0.3, 17)
     orc = inst.oracle()

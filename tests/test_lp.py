@@ -8,8 +8,8 @@ from subig.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpModel, solve_lp
 
 
 def test_single_lower_bound_row():
-    m = LpModel("min")
-    w = m.add_var(0.0, np.inf, obj=1.0)
+    m = LpModel([0.0], [np.inf], [1.0])
+    w = 0
     m.add_row({w: -1.0}, -5.0)  # w >= 5
     res = solve_lp(m)
     assert res.status == OPTIMAL
@@ -17,10 +17,8 @@ def test_single_lower_bound_row():
 
 
 def test_two_variable_cut_row():
-    m = LpModel("min")
-    x1 = m.add_var(0.0, 1.0)
-    x2 = m.add_var(0.0, 1.0)
-    w = m.add_var(0.0, np.inf, obj=1.0)
+    m = LpModel([0.0, 0.0, 0.0], [1.0, 1.0, np.inf], [0.0, 0.0, 1.0])
+    x1, x2, w = 0, 1, 2
     m.add_row({w: -1.0, x1: -11.0, x2: -14.0}, -20.0)  # w >= 20 - 11x1 - 14x2
     m.add_row({x1: 1.0, x2: 1.0}, 1.0)
     res = solve_lp(m)
@@ -31,28 +29,33 @@ def test_two_variable_cut_row():
 
 
 def test_infeasible_rows():
-    m = LpModel("min")
-    w = m.add_var(0.0, np.inf, obj=1.0)
-    m.add_row({w: 1.0}, -1.0)  # w <= -1 against w >= 0
+    m = LpModel([0.0], [np.inf], [1.0])
+    m.add_row({0: 1.0}, -1.0)  # w <= -1 against w >= 0
     assert solve_lp(m).status == INFEASIBLE
 
 
 def test_duplicate_rows_are_collapsed():
-    m = LpModel("min")
-    a = m.add_var(0.0, 1.0, obj=1.0)
-    b = m.add_var(0.0, 1.0)
+    m = LpModel([0.0, 0.0], [1.0, 1.0], [1.0, 0.0])
+    a, b = 0, 1
     assert m.add_row({a: 1.0, b: 2.0}, 3.0) is True
     assert m.add_row({b: 2.0, a: 1.0}, 3.0) is False
     assert m.n_rows == 1
     assert m.add_row({a: 1.0, b: 2.0}, 4.0) is True  # different rhs is a new row
     assert m.n_rows == 2
+    # a zero entry, stored as -0.0 or 0.0, is the same row as no entry
+    assert m.add_row({a: 1.0}, 5.0) is True
+    assert m.add_row({a: 1.0, b: 0.0}, 5.0) is False
+    assert m.add_row({a: 1.0, b: -0.0}, 5.0) is False
+    assert m.add_row({a: 1.0, b: -0.0}, 0.0) is True
+    assert m.add_row({a: 1.0, b: 0.0}, -0.0) is False
+    assert m.n_rows == 4
+    assert np.array_equal(m.A, [[1.0, 2.0], [1.0, 2.0], [1.0, 0.0], [1.0, 0.0]])
+    assert np.array_equal(m.rhs, [3.0, 4.0, 5.0, 0.0])
 
 
 def test_fix_unfix_roundtrip():
-    m = LpModel("min")
-    x1 = m.add_var(0.0, 1.0)
-    x2 = m.add_var(0.0, 1.0)
-    w = m.add_var(0.0, np.inf, obj=1.0)
+    m = LpModel([0.0, 0.0, 0.0], [1.0, 1.0, np.inf], [0.0, 0.0, 1.0])
+    x1, x2, w = 0, 1, 2
     m.add_row({w: -1.0, x1: -11.0, x2: -14.0}, -20.0)
     base = solve_lp(m)
     assert base.status == OPTIMAL and base.objective == pytest.approx(0.0, abs=1e-9)
@@ -63,15 +66,14 @@ def test_fix_unfix_roundtrip():
     # any optimal vertex must push x2 far enough to cover the row at w = 0
     assert 9.0 - 14.0 * fixed.x[x2] <= 1e-7
     # the fixing held for that one solve only
-    assert m.lb == [0.0, 0.0, 0.0] and m.ub == [1.0, 1.0, np.inf]
+    assert m.lb.tolist() == [0.0, 0.0, 0.0] and m.ub.tolist() == [1.0, 1.0, np.inf]
     again = solve_lp(m)
     assert again.objective == base.objective
     assert np.array_equal(again.x, base.x)  # bit-identical re-solve
 
 
 def test_unfix_unknown_raises():
-    m = LpModel("min")
-    m.add_var(0.0, 1.0)
+    m = LpModel([0.0], [1.0], [0.0])
     with pytest.raises(ValueError):
         solve_lp(m, {7: 0.0})
     with pytest.raises(ValueError):
@@ -79,9 +81,8 @@ def test_unfix_unknown_raises():
 
 
 def test_fixing_outside_the_bounds_is_infeasible():
-    m = LpModel("min")
-    x = m.add_var(0.0, 1.0)
-    w = m.add_var(0.0, np.inf, obj=1.0)
+    m = LpModel([0.0, 0.0], [1.0, np.inf], [0.0, 1.0])
+    x, w = 0, 1
     m.add_row({w: -1.0, x: 1.0}, 0.0)  # w >= x
     assert solve_lp(m, {x: 2.0}).status == INFEASIBLE
     assert solve_lp(m, {x: -0.5}).status == INFEASIBLE
@@ -90,9 +91,8 @@ def test_fixing_outside_the_bounds_is_infeasible():
 
 
 def test_resolve_is_bit_identical():
-    m = LpModel("max")
-    xs = [m.add_var(0.0, 1.0, obj=c) for c in (1.0, -2.0, 0.5)]
-    m.add_row({xs[0]: 1.0, xs[2]: 1.0}, 1.2)
+    m = LpModel([0.0] * 3, [1.0] * 3, [1.0, -2.0, 0.5], "max")
+    m.add_row({0: 1.0, 2: 1.0}, 1.2)
     first = solve_lp(m)
     second = solve_lp(m)
     assert first.objective == second.objective
@@ -100,9 +100,8 @@ def test_resolve_is_bit_identical():
 
 
 def test_basis_that_is_not_dual_feasible_reaches_the_cold_optimum():
-    m = LpModel("min")
-    x1 = m.add_var(0.0, 1.0, obj=-1.0)
-    x2 = m.add_var(0.0, 1.0, obj=-2.0)
+    m = LpModel([0.0, 0.0], [1.0, 1.0], [-1.0, -2.0])
+    x1, x2 = 0, 1
     m.add_row({x1: 1.0, x2: 1.0}, 1.5)
     fixed = solve_lp(m, {x2: 0.0})
     assert fixed.status == OPTIMAL and fixed.objective == pytest.approx(-1.0, abs=1e-9)
@@ -116,8 +115,8 @@ def test_basis_that_is_not_dual_feasible_reaches_the_cold_optimum():
 def test_slack_basis_that_is_not_dual_feasible():
     # min -x over x >= 0 with x <= 3: at the slack basis x sits at 0 with
     # reduced cost -1, and the primal pivots take it to 3
-    m = LpModel("min")
-    x = m.add_var(0.0, np.inf, obj=-1.0)
+    m = LpModel([0.0], [np.inf], [-1.0])
+    x = 0
     m.add_row({x: 1.0}, 3.0)
     res = solve_lp(m)
     assert res.status == OPTIMAL and res.objective == pytest.approx(-3.0, abs=1e-9)
@@ -125,14 +124,18 @@ def test_slack_basis_that_is_not_dual_feasible():
 
 
 def test_basis_from_a_larger_model_is_rejected():
-    m = LpModel("min")
-    x = m.add_var(0.0, 1.0, obj=1.0)
-    m.add_row({x: 1.0}, 1.0)
+    m = LpModel([0.0], [1.0], [1.0])
+    m.add_row({0: 1.0}, 1.0)
     big = solve_lp(m)
-    small = LpModel("min")
-    small.add_var(0.0, 1.0, obj=1.0)
-    with pytest.raises(ValueError, match="larger model"):
+    small = LpModel([0.0], [1.0], [1.0])
+    with pytest.raises(ValueError, match="another model"):
         solve_lp(small, basis=big.basis)
+    # one row, as in the basis, but another column count
+    for n in (2, 0):
+        other = LpModel([0.0] * n, [1.0] * n, [1.0] * n)
+        other.add_row({j: 1.0 for j in range(n)}, 1.0)
+        with pytest.raises(ValueError, match="another model"):
+            solve_lp(other, basis=big.basis)
 
 
 def _vertices(rows, rhs, lows, ups):
@@ -162,15 +165,14 @@ def _vertices(rows, rhs, lows, ups):
 def test_against_vertex_enumeration():
     rng = np.random.default_rng(11)
     for _ in range(60):
-        m = LpModel("min")
         lows = [0.0] * 3
         ups = [float(rng.integers(1, 4)) for _ in range(3)]
-        xs = [m.add_var(lows[j], ups[j], obj=float(rng.normal())) for j in range(3)]
+        m = LpModel(lows, ups, [float(rng.normal()) for _ in range(3)])
         rows, rhs = [], []
         for _ in range(int(rng.integers(1, 5))):
             coefs = [float(np.round(rng.normal(), 2)) for _ in range(3)]
             b = float(np.round(rng.normal() + 1.0, 2))
-            m.add_row({xs[j]: coefs[j] for j in range(3) if coefs[j] != 0.0}, b)
+            m.add_row({j: coefs[j] for j in range(3) if coefs[j] != 0.0}, b)
             rows.append(coefs)
             rhs.append(b)
         res = solve_lp(m)
@@ -189,21 +191,18 @@ def test_against_vertex_enumeration():
 # A rowless model factorizes a 0x0 basis, which LAPACK's dgetrf rejects
 # with a message on stderr; lp.lu_factor must not hand it over.
 def test_rowless_model(capfd):
-    m = LpModel("min")
-    a = m.add_var(0.0, 2.0, obj=-1.0)
+    m = LpModel([0.0], [2.0], [-1.0])
     res = solve_lp(m)
-    assert res.status == OPTIMAL and res.x[a] == 2.0
+    assert res.status == OPTIMAL and res.x[0] == 2.0
     assert capfd.readouterr().err == ""
 
 
 def test_rowless_free_variable(capfd):
-    m = LpModel("min")
-    m.add_var(-np.inf, np.inf, obj=1.0)
+    m = LpModel([0.0], [np.inf], [-1.0])
     assert solve_lp(m).status == UNBOUNDED
-    m = LpModel("max")
-    v = m.add_var(-np.inf, 3.0, obj=1.0)
+    m = LpModel([-2.0], [3.0], [1.0], "max")
     res = solve_lp(m)
-    assert res.status == OPTIMAL and res.x[v] == 3.0
+    assert res.status == OPTIMAL and res.x[0] == 3.0
     assert capfd.readouterr().err == ""
 
 
@@ -237,38 +236,38 @@ def test_singular_basis_raises():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda m, v: m.add_row({v: np.nan}, 1.0),
-        lambda m, v: m.add_row({v: 1.0}, np.inf),
-        lambda m, v: m.add_var(0.0, 1.0, obj=np.nan),
-        lambda m, v: m.add_var(np.nan, 1.0),
-        lambda m, v: m.add_var(np.inf, np.inf),
-        lambda m, v: m.add_var(2.0, 1.0),
-        lambda m, v: solve_lp(m, {v: np.nan}),
-        lambda m, v: solve_lp(m, {v: np.inf}),
+        lambda m: m.add_row({0: np.nan}, 1.0),
+        lambda m: m.add_row({0: 1.0}, np.inf),
+        lambda m: LpModel([0.0], [1.0], [np.nan]),
+        lambda m: LpModel([np.nan], [1.0], [0.0]),
+        lambda m: LpModel([0.0], [np.nan], [0.0]),
+        lambda m: LpModel([np.inf], [np.inf], [0.0]),
+        lambda m: LpModel([-np.inf], [1.0], [0.0]),
+        lambda m: LpModel([2.0], [1.0], [0.0]),
+        lambda m: solve_lp(m, {0: np.nan}),
+        lambda m: solve_lp(m, {0: np.inf}),
     ],
     ids=[
-        "nan-coef", "inf-rhs", "nan-obj", "nan-bound", "inf-lower-bound", "empty-range",
-        "nan-fixing", "inf-fixing",
+        "nan-coef", "inf-rhs", "nan-obj", "nan-bound", "nan-upper-bound",
+        "inf-lower-bound", "minus-inf-lower-bound", "empty-range", "nan-fixing", "inf-fixing",
     ],
 )
 def test_non_finite_data_is_rejected(build):
-    m = LpModel("min")
-    v = m.add_var(0.0, np.inf, obj=1.0)  # an infinite fixing is inside its bounds
+    m = LpModel([0.0], [np.inf], [1.0])  # an infinite fixing is inside its bounds
     with pytest.raises(ValueError):
-        build(m, v)
+        build(m)
     assert m.n_vars == 1 and m.n_rows == 0
 
 
 def test_non_finite_optimum_raises():
-    m = LpModel("max")
-    m.add_var(0.0, 1e308, obj=1e308)  # finite data, objective overflows
+    m = LpModel([0.0], [1e308], [1e308], "max")  # finite data, objective overflows
     with np.errstate(over="ignore"), pytest.raises(lp.SolverError, match="not finite"):
         solve_lp(m)
 
 
 def _random_lp(rng):
     """A seeded LP of up to benchmark size: mostly boxed columns plus a few
-    half-bounded, free and fixed ones, and up to 60 sparse rows.  The rows
+    half-bounded and fixed ones, and up to 60 sparse rows.  The rows
     hold at a random point inside the bounds, yet about a third have
     negative right-hand sides, so the slack basis is primal infeasible and dual
     pivots run; some repeat at a scale of 2 or 3, which makes bases
@@ -284,7 +283,7 @@ def _random_lp(rng):
         elif kind < 0.93:
             lo, hi = 0.0, np.inf
         elif kind < 0.96:
-            lo, hi = -np.inf, np.inf
+            lo, hi = -float(rng.integers(1, 3)), np.inf
         else:
             lo = hi = float(rng.integers(0, 2))
         lows.append(lo)
@@ -310,9 +309,7 @@ def _random_lp(rng):
 
 
 def _embed(sense, obj, lows, ups, rows, rhs):
-    m = LpModel(sense)
-    for j in range(len(obj)):
-        m.add_var(lows[j], ups[j], obj=float(obj[j]))
+    m = LpModel(lows, ups, obj, sense)
     for coefs, b in zip(rows, rhs):
         m.add_row({j: float(c) for j, c in enumerate(coefs) if c != 0.0}, float(b))
     return m
@@ -352,9 +349,7 @@ def _grown_lp(rng):
     Returns the data with the fixed bounds, the full model, the fixings and
     the basis of the half-row solve."""
     sense, obj, lows, ups, rows, rhs = _random_lp(rng)
-    m = LpModel(sense)
-    for j in range(len(obj)):
-        m.add_var(lows[j], ups[j], obj=float(obj[j]))
+    m = LpModel(lows, ups, obj, sense)
 
     def add(coefs, b):
         m.add_row({j: float(c) for j, c in enumerate(coefs) if c != 0.0}, float(b))

@@ -316,11 +316,11 @@ def test_node_limit_status():
 def test_node_fixings_leave_the_model_bounds_unchanged():
     inst = dataclasses.replace(gen_wmcig(12, 2, 0.2, 8), B=3, k=3)
     solver = master.InterdictionSolver(inst, inst.oracle(), cfg("B-S1", node_limit=4))
-    lb, ub = list(solver.model.lb), list(solver.model.ub)
+    lb, ub = solver.model.lb.tolist(), solver.model.ub.tolist()
     res = solver.solve()
     # every node after the root is solved with at least one fixing
     assert res.status == "node_limit" and res.nodes == 4
-    assert solver.model.lb == lb and solver.model.ub == ub
+    assert solver.model.lb.tolist() == lb and solver.model.ub.tolist() == ub
 
 
 def test_time_limit_status():
@@ -444,15 +444,12 @@ def test_all_added_cuts_are_globally_valid():
     solver.solve()
     table = bruteforce.brute_force_solve(inst, orc, with_table=True).table
     w = solver.w
-    cut_rows = [
-        (coefs, rhs)
-        for coefs, rhs in zip(solver.model.rows, solver.model.rhs)
-        if coefs.get(w) == -1.0
-    ]
+    model = solver.model
+    cut_rows = [(row, rhs) for row, rhs in zip(model.A, model.rhs) if row[w] == -1.0]
     assert cut_rows
-    for coefs, rhs in cut_rows:
+    for row, rhs in cut_rows:
         for x, phi_val in table.items():
-            lhs = sum(c * x[j] for j, c in coefs.items() if j != w)
+            lhs = float(np.dot(row[:w], x))
             # row is  sum g_j x_j - w <= -c0  ==>  c0 + sum g_j x_j <= w=phi(x)
             assert lhs - rhs <= phi_val + 1e-9
 
