@@ -3,19 +3,22 @@
 The exact solver maximizes theta subject to knapsack rows and lazily added
 submodular bounding rows (two per generating set: one anchored at full-set
 complements, one at within-set prefixes).  Nodes are explored depth-first so
-that, in cutoff mode, an improving feasible solution surfaces quickly.
+that, in cutoff mode, an improving feasible solution surfaces quickly.  Only
+the first LP of a call starts from the slack basis: each later LP, after a
+cut round or in a child node, starts from the last optimal basis of its node
+or of its parent, which added rows and fixings keep dual feasible.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import KnapsackSystem, SubmodularOracle
-from .lp import LpModel, solve_lp, INFEASIBLE
+from .lp import Basis, LpModel, solve_lp, INFEASIBLE
 
 OPTIMAL = "optimal"
 CUTOFF_EXCEEDED = "cutoff_exceeded"
@@ -131,7 +134,8 @@ def solve_sep(
     With a cutoff, returns as soon as some feasible solution's value exceeds
     it (status ``cutoff_exceeded``), the greedy start first; the value is then a
     lower bound on the true optimum, which is all the enhanced separation
-    needs.  Raises FollowerTimeout once ``time_budget`` seconds have passed.
+    needs.  Raises FollowerTimeout before an LP once ``time_budget`` seconds
+    have passed.
     """
     _check_size(oracle, knapsacks)
     items = sorted(set(available))
@@ -169,16 +173,18 @@ def solve_sep(
                 added += model.add_row(row, rhs)
         return added
 
-    stack: List[Dict[int, int]] = [{}]
+    # each node: its fixings and its parent's last optimal basis
+    stack: List[Tuple[Dict[int, int], Optional[Basis]]] = [({}, None)]
     while stack:
-        if time_budget is not None and time.monotonic() - t0 > time_budget:
-            raise FollowerTimeout("follower subproblem exceeded its time budget")
-        fixings = stack.pop()
+        fixings, basis = stack.pop()
         fixed = {ycol[i]: float(v) for i, v in fixings.items()}
         while True:
-            res = solve_lp(model, fixed)
+            if time_budget is not None and time.monotonic() - t0 > time_budget:
+                raise FollowerTimeout("follower subproblem exceeded its time budget")
+            res = solve_lp(model, fixed, basis)
             if res.status == INFEASIBLE or res.objective <= inc_val + 1e-9:
                 break
+            basis = res.basis
             y_star = {i: res.x[ycol[i]] for i in items}
             theta_star = res.x[theta]
             frac = [i for i in items if INT_TOL < y_star[i] < 1.0 - INT_TOL]
@@ -213,8 +219,8 @@ def solve_sep(
                     continue
                 # branch on the most fractional variable
                 pick = min(frac, key=lambda i: (abs(y_star[i] - 0.5), i))
-            stack.append({**fixings, pick: 0})
-            stack.append({**fixings, pick: 1})  # explore inclusion first
+            stack.append(({**fixings, pick: 0}, basis))
+            stack.append(({**fixings, pick: 1}, basis))  # explore inclusion first
             break
     return SepResult(inc_set, inc_val, OPTIMAL)
 
@@ -227,9 +233,10 @@ def phi(
 ) -> float:
     """Follower value under interdiction x (binary): exact optimum over the
     uninterdicted items."""
+    if len(x) != oracle.n:
+        raise ValueError(f"interdiction vector has {len(x)} entries, the oracle {oracle.n} items")
     avail = []
-    for i in range(oracle.n):
-        xi = x[i]
+    for i, xi in enumerate(x):
         if not (abs(xi) <= INT_TOL or abs(xi - 1.0) <= INT_TOL):
             raise ValueError("interdiction vector must be binary")
         if xi <= INT_TOL:

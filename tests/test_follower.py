@@ -1,9 +1,10 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from subig import follower
+from subig import follower, lp
 from subig.bruteforce import brute_force_phi
 from subig.core import KnapsackSystem
 from subig.follower import CUTOFF_EXCEEDED, OPTIMAL, FollowerTimeout
@@ -109,9 +110,15 @@ def test_phi_examples(cover_example, bipartite_example):
     assert follower.phi(worc, [0, 0, 1], cover_example.knapsacks()) == 20.0
     with pytest.raises(ValueError):
         follower.phi(worc, [0.5, 0, 0], cover_example.knapsacks())
+    with pytest.raises(ValueError, match="interdiction vector has 5 entries, the oracle 3 items"):
+        follower.phi(worc, [0, 0, 0, 1, 0.5], cover_example.knapsacks())
+    with pytest.raises(ValueError, match="interdiction vector has 2 entries, the oracle 3 items"):
+        follower.phi(worc, [0, 0], cover_example.knapsacks())
 
 
-def test_sep_matches_brute_force_on_random_instances():
+def _sep_corpus():
+    """(oracle, available items, knapsacks, tolerance against brute force)
+    for 30 random WMCIG and BIIG followers."""
     rng = np.random.default_rng(3)
     for trial in range(30):
         if trial % 2 == 0:
@@ -126,10 +133,90 @@ def test_sep_matches_brute_force_on_random_instances():
         orc = inst.oracle()
         knap = inst.knapsacks()
         mask = [i for i in range(orc.n) if rng.random() < 0.8]
+        yield orc, mask, knap, tol
+
+
+def _two_row_case():
+    """A BIIG follower under two knapsack rows of quarter-unit costs."""
+    rng = np.random.default_rng(11)
+    orc = gen_biig(9, 2, 3, 2, 0.25, 501).oracle()
+    costs = tuple(tuple(float(c) / 4 for c in rng.integers(1, 20, orc.n)) for _ in range(2))
+    knap = KnapsackSystem(costs=costs, caps=tuple(0.35 * sum(row) for row in costs))
+    return orc, list(range(orc.n)), knap
+
+
+def test_sep_matches_brute_force_on_random_instances():
+    for orc, mask, knap, tol in _sep_corpus():
         res = follower.solve_sep(orc, mask, knap)
         ref = brute_force_phi(orc, mask, knap)
         assert res.status == OPTIMAL
         assert abs(res.value - ref) <= tol
+
+
+def test_warm_started_lps_give_the_cold_value(monkeypatch):
+    """Each LP after a call's first starts from the last basis of its node
+    or of its parent; every value must equal that of a run whose LPs all
+    start cold, and brute force."""
+    cases = [*_sep_corpus(), (*_two_row_case(), 1e-9)]
+    warm = [follower.solve_sep(orc, mask, knap).value for orc, mask, knap, _ in cases]
+    solve_lp = follower.solve_lp
+    bases = []
+
+    def cold_solve_lp(model, fixed, basis):
+        bases.append(basis)
+        return solve_lp(model, fixed)
+
+    monkeypatch.setattr(follower, "solve_lp", cold_solve_lp)
+    for (orc, mask, knap, tol), value in zip(cases, warm):
+        res = follower.solve_sep(orc, mask, knap)
+        assert res.status == OPTIMAL
+        assert res.value == pytest.approx(value, abs=1e-9)
+        assert abs(res.value - brute_force_phi(orc, mask, knap)) <= tol
+    assert any(b is not None for b in bases)  # the follower hands bases on
+
+
+def test_warm_start_takes_fewer_factorizations(monkeypatch):
+    orc, avail, knap = _two_row_case()
+    lu_factor = lp.lu_factor
+    calls = [0]
+
+    def counted_lu_factor(B):
+        calls[0] += 1
+        return lu_factor(B)
+
+    monkeypatch.setattr(lp, "lu_factor", counted_lu_factor)
+    warm = follower.solve_sep(orc, avail, knap)
+    warm_calls, calls[0] = calls[0], 0
+    solve_lp = follower.solve_lp
+    monkeypatch.setattr(follower, "solve_lp", lambda model, fixed, basis: solve_lp(model, fixed))
+    cold = follower.solve_sep(orc, avail, knap)
+    assert warm.value == pytest.approx(cold.value, abs=1e-9)
+    assert 0 < warm_calls < calls[0]
+
+
+def test_time_budget_is_checked_before_every_lp(monkeypatch):
+    """Each LP here takes 10 s of a fake clock.  The root of this instance
+    takes two cut rounds, and once the first LP has spent the 5 s budget
+    the second must not start."""
+    inst = gen_wmcig(20, 2, 0.2, 1)
+    orc, knap = inst.oracle(), inst.knapsacks()
+    now = [0.0]
+    fixings = []
+    solve_lp = follower.solve_lp
+
+    def slow_solve_lp(model, fixed, basis=None):
+        fixings.append(dict(fixed))
+        now[0] += 10.0
+        return solve_lp(model, fixed, basis)
+
+    monkeypatch.setattr(follower, "solve_lp", slow_solve_lp)
+    monkeypatch.setattr(follower, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    assert follower.solve_sep(orc, range(orc.n), knap).status == OPTIMAL
+    assert fixings[:2] == [{}, {}]  # two LPs at the root
+    fixings.clear()
+    with pytest.raises(FollowerTimeout):
+        follower.solve_sep(orc, range(orc.n), knap, time_budget=5.0)
+    assert fixings == [{}]
 
 
 def test_integer_point_the_rows_cannot_cut_is_branched_on(monkeypatch):
