@@ -160,6 +160,8 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    # the limits apply to every line: checked once, so an error names the flag, not a line
+    master.SolverConfig(time_limit=args.time_limit, node_limit=args.node_limit)
     paths: List[str] = []
     configs: List[master.SolverConfig] = []
     with open(args.manifest, encoding="utf-8") as fh:

@@ -146,10 +146,8 @@ def alternative_sic(
         for b in range(oracle.n):
             if b in members or b in used_b:
                 continue
-            if not costs.cost_le(b, a):
-                continue
             spread = x_star[a] - x_star[b]
-            if spread <= 0.0:
+            if spread <= 0.0 or not costs.cost_le(b, a):
                 continue
             coef = float(ev.gain(b))  # rho_b(S + current B - a)
             score = coef * spread

@@ -62,9 +62,12 @@ def greedy(
     current = set(order)
     if len(current) != len(order):
         raise ValueError("seed repeats an item")
+    ground = sorted(set(ground_subset) | current)
+    if ground:  # the lowest and the highest id bound every other
+        oracle.check_item(ground[0])
+        oracle.check_item(ground[-1])
     if not knapsacks.fits(current):
         raise ValueError("seed set violates a knapsack constraint")
-    ground = sorted(set(ground_subset) | current)
     ev = oracle.scratch(current)
     weight = knapsacks.weight(current)
     while True:

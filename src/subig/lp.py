@@ -1,27 +1,27 @@
-"""Dense bounded-variable simplex for the small node relaxations.
+"""Dense bounded dual simplex for the small node relaxations.
 
 An ``LpModel`` fixes its columns at construction, each with a finite lower
-bound and an upper bound that may be infinite, so no column is free.  Its
-rows are inequalities a.v <= b, kept in one dense array that only grows.
-Every solve runs one loop from one start: the ``Basis`` of an earlier
-optimal result, or else the slack basis with every structural column at a
-bound.  A basis carries the basic columns over structurals and slacks and
-each column's bound state; a later solve of the same model, which may have
-gained rows since, starts from it with the new rows' slacks basic.
+bound and an upper bound that may be infinite.  The constructor rejects a
+column without an upper bound whose objective favours rising, so every LP
+is bounded.  Its rows are inequalities a.v <= b, kept in one dense array
+that only grows.  Every solve runs one loop from one start: the ``Basis``
+of an earlier optimal result, whose model may have gained rows since
+(their slacks start basic), or else the slack basis.
 
-While the basis is primal infeasible, the loop takes bounded dual simplex
-pivots under the true costs, except that each column whose reduced cost
-has the wrong sign at the start gets its cost shifted to make that reduced
-cost 0 (Koberstein, *The dual simplex method*, 2005).  The leaving row has
-the largest bound violation (ties to the lowest variable id); the entering
-column has the least ratio |d_j / alpha_j| (ties to the largest |alpha_j|,
-then the lowest id); a violated row with no eligible column proves the LP
-infeasible.  Once the basis is primal feasible, the same iteration
-re-prices under the true costs, and primal Dantzig pivots with
-deterministic tie-breaks finish.  Adding rows or fixing columns keeps a
-basis dual feasible, so a warm start takes few dual pivots and seldom a
-primal one.  Both pivot kinds switch to smallest-index picks after 1000
-degenerate steps, so identical models always produce identical runs.
+The loop takes one pivot kind, the bounded dual simplex pivot (Koberstein,
+*The dual simplex method*, 2005).  First, each boxed nonbasic column whose
+reduced cost has the wrong sign moves to its other bound, which makes the
+start dual feasible; added rows and fixings keep an optimal basis so.
+While a basic value is out of its bounds, the leaving row has the largest
+violation (ties to the lowest id) and the entering column the least ratio
+|d_j / alpha_j| (ties to the largest |alpha_j|, then the lowest id) among
+those whose |alpha_j| is at least 1e-9 of the largest; a violated row with
+no eligible column proves the LP infeasible.  After 1000
+degenerate pivots the picks switch to smallest-index rules; runs are
+deterministic.  Rather than return a vertex that is not optimal, the loop
+raises ``SolverError`` when a column without an upper bound improves at
+the start (only a basis from a solve whose fixings were later released has
+one) or a reduced cost has the wrong sign at the end.
 
 Each pivot factorizes the basis once with LAPACK's ``dgetrf`` and solves
 with ``dgetrs``: the routines ``scipy.linalg.lu_factor`` and ``lu_solve``
@@ -43,13 +43,13 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 
 OPT_TOL = 1e-9
 PIVOT_TOL = 1e-10
+REL_PIVOT_TOL = 1e-9  # a pivot below this share of the largest eligible one nears a singular basis
 PRIMAL_TOL = 1e-9  # a basic value beyond its bound by more is infeasible
 DEGENERATE_LIMIT = 1000
 MAX_ITERATIONS = 100000
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 _AT_LB = 0
 _AT_UB = 1
@@ -92,6 +92,9 @@ class LpModel:
         # NaN fails the comparison; a finite lower bound leaves a finite value in the range
         if not (np.isfinite(self.lb) & (self.lb <= self.ub)).all():
             raise ValueError("variable bounds need a finite lower bound not above the upper one")
+        sign = 1.0 if sense == "min" else -1.0
+        if (np.isinf(self.ub) & (sign * self.obj < 0.0)).any():
+            raise ValueError("a column without an upper bound must not improve by rising")
         self._rows = np.empty((8, self.lb.size))  # capacity doubles when full
         self._rhs = np.empty(8)
         self._m = 0
@@ -177,8 +180,6 @@ def solve_lp(
     status = _simplex(A, b, low, up, c, basic, x, stat)
     if status == INFEASIBLE:
         return LpResult(INFEASIBLE, x[:n].copy(), 0.0)
-    if status == UNBOUNDED:
-        return LpResult(UNBOUNDED, x[:n].copy(), -np.inf * sign)
     obj = sign * float(c @ x)
     if not (math.isfinite(obj) and np.isfinite(x).all()):
         raise SolverError("optimal solution is not finite")
@@ -218,10 +219,15 @@ def lu_solve(lu: Tuple[np.ndarray, np.ndarray], b: np.ndarray, trans: int = 0) -
     return dgetrs(lu[0], lu[1], b, trans=trans)[0]
 
 
+def _wrong_sign(d, movable_nb, at_lb, d_tol) -> np.ndarray:
+    """The movable nonbasic columns that improve the objective by rising
+    off their lower bound or falling off their upper one."""
+    return movable_nb & np.where(at_lb, d < -d_tol, d > d_tol)
+
+
 def _simplex(A, b, low, up, c, basis, x, stat) -> str:
-    """In-place bounded simplex over equalities A v = b from any basis: dual
-    pivots under shifted costs while a basic value is out of its bounds,
-    then primal pivots under the true costs (see the module docstring)."""
+    """In-place bounded dual simplex over equalities A v = b from a basis
+    that bound flips make dual feasible (see the module docstring)."""
     total = A.shape[1]
     in_basis = np.zeros(total, dtype=bool)
     in_basis[basis] = True
@@ -230,117 +236,69 @@ def _simplex(A, b, low, up, c, basis, x, stat) -> str:
     bland = False
     d_tol = OPT_TOL * max(1.0, float(np.max(np.abs(c))) if total else 1.0)
     unit = np.zeros(A.shape[0])
-    cost = c
-    dual = True
 
     for it in range(MAX_ITERATIONS):
         lu = lu_factor(A[:, basis])
         nb = ~in_basis
         at_lb = stat == _AT_LB
-        at_ub = stat == _AT_UB
+        pi = lu_solve(lu, c[basis], trans=1)
+        d = c - A.T @ pi
+        if it == 0:
+            flip = _wrong_sign(d, nb & movable, at_lb, d_tol)
+            if flip.any():  # each wrong-sign column moves to its other bound
+                if np.isinf(up[flip]).any():
+                    raise SolverError("a column without an upper bound improves at the start basis")
+                x[flip] = np.where(at_lb[flip], up[flip], low[flip])
+                stat[flip] = np.where(at_lb[flip], _AT_UB, _AT_LB)
+                at_lb = stat == _AT_LB
+        at_ub = ~at_lb
         xb = lu_solve(lu, b - A[:, nb] @ x[nb])
         x[basis] = xb
-        if dual:
-            below = low[basis] - xb
-            violation = np.maximum(below, xb - up[basis])
-            rows = np.flatnonzero(violation > PRIMAL_TOL)
-            if rows.size == 0:  # primal feasible: from now on, the true costs
-                dual = False
-                cost = c
-        pi = lu_solve(lu, cost[basis], trans=1)
-        d = cost - A.T @ pi
-        if not dual or it == 0:
-            # a nonbasic column improves by rising off its lower bound or
-            # falling off its upper one
-            improving = nb & movable & ((at_lb & (d < -d_tol)) | (at_ub & (d > d_tol)))
+        below = low[basis] - xb
+        violation = np.maximum(below, xb - up[basis])
+        rows = np.flatnonzero(violation > PRIMAL_TOL)
+        if rows.size == 0:
+            if _wrong_sign(d, nb & movable, at_lb, d_tol).any():
+                raise SolverError("a reduced cost has the wrong sign at the final basis")
+            return OPTIMAL
 
-        if dual:
-            if it == 0:  # shift each improving column's cost so that its d_j is 0
-                cost = np.where(improving, c - d, c)
-                d = np.where(improving, 0.0, d)
+        # leaving row: the largest bound violation, ties to the lowest id
+        if not bland:
+            rows = rows[violation[rows] == violation[rows].max()]
+        leave_pos = int(rows[np.argmin(basis[rows])])
+        rise = below[leave_pos] > 0  # the leaving value climbs to its lower bound
 
-            # leaving row: the largest bound violation, ties to the lowest id
-            if not bland:
-                rows = rows[violation[rows] == violation[rows].max()]
-            leave_pos = int(rows[np.argmin(basis[rows])])
-            rise = below[leave_pos] > 0  # the leaving value climbs to its lower bound
-
-            # entering column: the least ratio |d_j / alpha_j| over the columns
-            # whose move pushes the leaving value toward its bound
-            unit[leave_pos] = 1.0
-            alpha = A.T @ lu_solve(lu, unit, trans=1)
-            unit[leave_pos] = 0.0
-            push = -alpha if rise else alpha  # move toward its bound per unit rise of column j
-            cand = np.flatnonzero(
-                nb & movable & ((at_lb & (push > PIVOT_TOL)) | (at_ub & (push < -PIVOT_TOL)))
-            )
-            if cand.size == 0:
-                return INFEASIBLE
-            piv = np.abs(alpha[cand])
-            dual_room = np.where(at_ub[cand], -d[cand], d[cand])
-            ratio = np.maximum(dual_room, 0.0) / piv
-            step = float(ratio.min())
-            tied = ratio <= step + 1e-12
-            cand, piv = cand[tied], piv[tied]
-            if not bland:
-                cand = cand[piv == piv.max()]
-            enter = int(cand[0])  # the lowest id
-            leave_stat = _AT_LB if rise else _AT_UB
-        else:
-            cand = np.flatnonzero(improving)
-            if cand.size == 0:
-                return OPTIMAL
-            if bland:
-                enter = int(cand[0])
-            else:
-                # Dantzig with a running best that needs a 1e-15 gain to move;
-                # only a column above every earlier one can pass that test
-                viol = np.abs(d[cand])
-                record = viol > np.maximum.accumulate(np.concatenate(([0.0], viol[:-1])))
-                enter, best = -1, 0.0
-                for j, v in zip(cand[record].tolist(), viol[record].tolist()):
-                    if v > best + 1e-15:
-                        enter, best = j, v
-
-            direction = 1.0 if d[enter] < 0 else -1.0
-            w = lu_solve(lu, A[:, enter])
-            delta = -direction * w  # change of basic values per unit step
-
-            # ratio test over the basic variables that move toward a finite bound
-            t_limit = up[enter] - low[enter]
-            room = np.where(delta > 0, up[basis] - xb, xb - low[basis])
-            pos = np.flatnonzero((np.abs(delta) > PIVOT_TOL) & np.isfinite(room))
-            piv = np.abs(delta[pos])
-            ratio = np.where(room[pos] < 0.0, 0.0, room[pos]) / piv
-            t_basic = float(ratio.min()) if pos.size else np.inf
-            step = min(t_limit, t_basic)
-            if not np.isfinite(step):
-                return UNBOUNDED
-            leave_pos = -1
-            if t_basic > t_limit:
-                # no basic ratio beat the entering column's own range: bound flip
-                x[enter] = up[enter] if direction > 0 else low[enter]
-                stat[enter] = _AT_UB if direction > 0 else _AT_LB
-            else:
-                tied = ratio <= t_basic + 1e-12
-                pos, piv = pos[tied], piv[tied]
-                if not bland:
-                    # stability: largest pivot magnitude first
-                    pos = pos[piv == piv.max()]
-                # then the smallest variable index (Bland's anti-cycling rule)
-                leave_pos = int(pos[np.argmin(basis[pos])])
-                leave_stat = _AT_UB if delta[leave_pos] > 0 else _AT_LB
+        # entering column: the least ratio |d_j / alpha_j| over the columns
+        # whose move pushes the leaving value toward its bound
+        unit[leave_pos] = 1.0
+        alpha = A.T @ lu_solve(lu, unit, trans=1)
+        unit[leave_pos] = 0.0
+        push = -alpha if rise else alpha  # move toward its bound per unit rise of column j
+        cand = np.flatnonzero(
+            nb & movable & ((at_lb & (push > PIVOT_TOL)) | (at_ub & (push < -PIVOT_TOL)))
+        )
+        if cand.size == 0:
+            return INFEASIBLE
+        piv = np.abs(alpha[cand])
+        dual_room = np.where(at_ub[cand], -d[cand], d[cand])
+        ratio = np.maximum(dual_room, 0.0) / piv
+        ratio[piv < REL_PIVOT_TOL * piv.max()] = np.inf  # never the entering column
+        step = float(ratio.min())
+        tied = ratio <= step + 1e-12
+        cand, piv = cand[tied], piv[tied]
+        if not bland:
+            cand = cand[piv == piv.max()]
+        enter = int(cand[0])  # the lowest id
 
         if step < 1e-10:
             degenerate += 1
             if degenerate >= DEGENERATE_LIMIT:
                 bland = True
-        if leave_pos >= 0:
-            out = basis[leave_pos]
-            x[out] = low[out] if leave_stat == _AT_LB else up[out]
-            stat[out] = leave_stat
-            in_basis[out] = False
-            in_basis[enter] = True
-            basis[leave_pos] = enter
+        out = basis[leave_pos]
+        x[out] = low[out] if rise else up[out]
+        stat[out] = _AT_LB if rise else _AT_UB
+        in_basis[out] = False
+        in_basis[enter] = True
+        basis[leave_pos] = enter
 
     raise SolverError("iteration limit exceeded")

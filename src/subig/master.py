@@ -64,6 +64,11 @@ class SolverConfig:
             raise ValueError("cut_family must be 'basic' or 'improved'")
         if self.frac_strategy not in ("S1", "S2", "S3"):
             raise ValueError("frac_strategy must be one of S1, S2, S3")
+        # NaN fails this test too: a NaN deadline would never pass
+        if not self.time_limit >= 0.0:
+            raise ValueError(f"time limit must be zero or more seconds, got {self.time_limit}")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError(f"node limit must be zero or more, got {self.node_limit}")
 
     @classmethod
     def from_setting(cls, setting: str, **overrides) -> "SolverConfig":
@@ -185,8 +190,11 @@ def _build_cuts(
     ordering: Sequence[int],
     x_star: Sequence[float],
     dominating: Mapping[int, Tuple[int, ...]],
-    with_alternative: bool,
 ) -> List[Cut]:
+    """The main cut (lifted under L) and, under A, the alternative cut when
+    it has exchange pairs.  At a binary x* every member of the follower set
+    is uninterdicted, so no exchange spread is positive and the alternative
+    cut has none."""
     if config.cut_family == "improved":
         base = cutgen.improved_sic(oracle, s_hat, ordering)
     else:
@@ -195,7 +203,7 @@ def _build_cuts(
     if config.enable_lift:
         main = cutgen.lift_sic(oracle, s_hat, base, x_star, dominating)
     out = [main]
-    if with_alternative and config.enable_alternative:
+    if config.enable_alternative:
         alt = cutgen.alternative_sic(oracle, s_hat, base, x_star, knapsacks)
         if alt.pairs:
             out.append(alt)
@@ -218,9 +226,7 @@ def separate_fractional(
     )
     if not s_hat:
         return []
-    built = _build_cuts(
-        oracle, knapsacks, config, s_hat, order, x_star, dominating, with_alternative=True
-    )
+    built = _build_cuts(oracle, knapsacks, config, s_hat, order, x_star, dominating)
     return [
         c
         for c in built
@@ -264,9 +270,7 @@ def separate_integer(
                 return [], res.value
         s_hat = res.items
     ordering = cutgen.default_ordering(oracle, s_hat)
-    built = _build_cuts(
-        oracle, knapsacks, config, s_hat, ordering, x_star, dominating, with_alternative=False
-    )
+    built = _build_cuts(oracle, knapsacks, config, s_hat, ordering, x_star, dominating)
     return built, phi_val
 
 

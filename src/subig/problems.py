@@ -372,12 +372,14 @@ def parse_instance(text: str, name: str = "instance"):
         no, (count,) = take("arc count line", "A", count=1)
         if count < 0:
             raise ValueError(f"line {no}: negative arc count")
-        arcs = []
+        arcs: Dict[Tuple[int, int], int] = {}  # arc -> its line, in file order
         for _ in range(count):
             no, (i, j) = take("arc list", None, count=2)
             if not (0 <= i < n and 0 <= j < m):
                 raise ValueError(f"line {no}: arc ({i},{j}) outside {n} items x {m} targets")
-            arcs.append((i, j))
+            if (i, j) in arcs:
+                raise ValueError(f"line {no}: arc ({i},{j}) repeats line {arcs[i, j]}")
+            arcs[i, j] = no
         inst = BiigInstance(probs=tuple(probs), targets=m, arcs=tuple(arcs), B=B, k=k, name=name)
     extra = next(pending, None)
     if extra is not None:

@@ -225,6 +225,27 @@ def test_malformed_instance_exits_2(tmp_path, capsys, text, line):
 
 
 @pytest.mark.parametrize(
+    "flag, what",
+    [(["--time-limit", "nan"], "time limit"), (["--time-limit", "-3"], "time limit"),
+     (["--node-limit", "-1"], "node limit")],
+)
+def test_nan_or_negative_limits_exit_2(tmp_path, capsys, flag, what):
+    inst = tmp_path / "l.wmcig"
+    cli.main(["generate", "wmcig", "--n", "6", "--r", "1", "--seed", "0", "--out", str(inst)])
+    capsys.readouterr()
+    for command in ("solve", "verify"):
+        assert cli.main([command, str(inst), "--setting", "B-S1", *flag]) == 2
+        assert f"error: {what} must be zero or more" in capsys.readouterr().err
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{inst} B-S1\n")
+    out_csv = tmp_path / "bench.csv"
+    assert cli.main(["bench", str(manifest), "--out", str(out_csv), *flag]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {what} must be zero or more" in err and "line" not in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
     "body, line",
     [("only-one-token\n", 2), ("{path} B-S1\n{path} XQ-S9\n", 3)],
 )

@@ -55,6 +55,17 @@ def test_greedy_rejects_a_seed_that_repeats_an_item(cover_example):
         follower.greedy(cover_example.oracle(), range(3), cover_example.knapsacks(), (0, 0))
 
 
+@pytest.mark.parametrize(
+    "ground, seed", [([-1, 3], ()), ([12], ()), ([3], (-1,)), ([3], (12,)), ([0, 13, 2], ())]
+)
+def test_greedy_rejects_ids_outside_the_ground_set(ground, seed):
+    """-1 used to wrap around to the last item in the fit mask and the
+    evaluator, so [-1, 3] returned frozenset({-1}); 12 raised IndexError."""
+    inst = gen_wmcig(12, 2, 0.1, 3)
+    with pytest.raises(ValueError, match="outside ground set"):
+        follower.greedy(inst.oracle(), ground, inst.knapsacks(), seed)
+
+
 @pytest.mark.parametrize("items", [5, 12])
 def test_follower_rejects_a_knapsack_system_of_another_size(items):
     """Too few items used to raise an IndexError mid-scan, and too many

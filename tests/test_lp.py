@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subig import lp
-from subig.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpModel, solve_lp
+from subig.lp import INFEASIBLE, OPTIMAL, LpModel, solve_lp
 
 
 def test_single_lower_bound_row():
@@ -113,14 +113,76 @@ def test_basis_that_is_not_dual_feasible_reaches_the_cold_optimum():
 
 
 def test_slack_basis_that_is_not_dual_feasible():
-    # min -x over x >= 0 with x <= 3: at the slack basis x sits at 0 with
-    # reduced cost -1, and the primal pivots take it to 3
-    m = LpModel([0.0], [np.inf], [-1.0])
+    # min -x (or max x) over x >= 0: at the slack basis x sits at 0 and
+    # improves by rising, with no upper bound to flip to, so the model is
+    # rejected when it is built, whatever rows would have bounded it
+    for obj, sense in ((-1.0, "min"), (1.0, "max")):
+        with pytest.raises(ValueError, match="without an upper bound"):
+            LpModel([0.0], [np.inf], [obj], sense)
+    # an unbounded column whose objective favours its lower bound is fine
+    for obj, sense in ((1.0, "min"), (-1.0, "max"), (0.0, "min")):
+        assert LpModel([0.0], [np.inf], [obj], sense).n_vars == 1
+
+
+def test_wrong_sign_boxed_start_flips_to_the_optimum():
+    # min -x over x in [0, 5] with x <= 3: at the slack basis x sits at 0
+    # with reduced cost -1; it flips to 5, and one dual pivot brings it to 3
+    m = LpModel([0.0], [5.0], [-1.0])
     x = 0
     m.add_row({x: 1.0}, 3.0)
     res = solve_lp(m)
     assert res.status == OPTIMAL and res.objective == pytest.approx(-3.0, abs=1e-9)
     assert res.x[x] == pytest.approx(3.0, abs=1e-9)
+
+
+def test_released_fixing_of_an_unbounded_column_raises():
+    # min x - 2y with x >= 0, y in [0, 1] and y <= x: solved with x fixed at
+    # 0, then from that basis without the fixing, x sits at 0 with reduced
+    # cost -1 and no upper bound to flip to
+    m = LpModel([0.0, 0.0], [np.inf, 1.0], [1.0, -2.0])
+    x, y = 0, 1
+    m.add_row({y: 1.0, x: -1.0}, 0.0)
+    fixed = solve_lp(m, {x: 0.0})
+    assert fixed.status == OPTIMAL and fixed.objective == pytest.approx(0.0, abs=1e-9)
+    with pytest.raises(lp.SolverError, match="without an upper bound"):
+        solve_lp(m, basis=fixed.basis)
+    cold = solve_lp(m)
+    assert cold.status == OPTIMAL and cold.objective == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_wrong_sign_at_the_final_basis_raises():
+    # min x1 with 1e-3 x1 + 5e-11 x2 >= 5e-4: x2's coefficient is below the
+    # pivot tolerance, so x1 enters; at x1 = 0.5 the basis is primal
+    # feasible, but x2 has reduced cost -5e-8, beyond the dual tolerance
+    m = LpModel([0.0, 0.0], [1.0, 1.0], [1.0, 0.0])
+    m.add_row({0: -1e-3, 1: -5e-11}, -5e-4)
+    with pytest.raises(lp.SolverError, match="wrong sign"):
+        solve_lp(m)
+
+
+def test_dual_degenerate_flipped_start_reaches_the_optimum():
+    # a cold follower LP with bounding rows: every y_j costs 0, so after
+    # theta flips to its upper bound the ratio test ties at 0 on each
+    # pivot; without the relative pivot tolerance a column with |alpha_j|
+    # of 4.7e-10 (the largest eligible was 1.8e4) entered and the next
+    # basis was singular
+    rows = [
+        [1, 1, 1, 1, 1, 1, 1, 1, 1, 0],
+        [-89, 0, -45, -211, 0, 0, 0, -89, -211, 1],
+        [-304, -144, -282, -211, -298, -91, -174, -275, -211, 1],
+        [-304, -144, -282, -211, -298, -335, -253, -275, -211, 1],
+        [-304, -354, -282, -211, -298, 0, -219, -275, -211, 1],
+        [-164, -354, -282, -211, -298, -335, -298, -275, -211, 1],
+        [-304, -354, -282, -211, -298, -335, -368, -275, -211, 1],
+        [-304, -354, -45, -211, -298, -335, -226, -275, -211, 1],
+        [-304, -354, -282, -211, -298, -335, -368, -89, -211, 1],
+    ]
+    rhs = [2, 1398, 836, 662, 696, 687, 840, 689, 547]
+    m = LpModel([0.0] * 10, [1.0] * 9 + [2040.0], [0.0] * 9 + [1.0], "max")
+    for coefs, b in zip(rows, rhs):
+        m.add_row({j: float(c) for j, c in enumerate(coefs) if c != 0}, float(b))
+    res = solve_lp(m)
+    assert res.status == OPTIMAL and res.objective == pytest.approx(1216.0, abs=1e-7)
 
 
 def test_basis_from_a_larger_model_is_rejected():
@@ -198,8 +260,8 @@ def test_rowless_model(capfd):
 
 
 def test_rowless_free_variable(capfd):
-    m = LpModel([0.0], [np.inf], [-1.0])
-    assert solve_lp(m).status == UNBOUNDED
+    with pytest.raises(ValueError, match="without an upper bound"):
+        LpModel([0.0], [np.inf], [-1.0])
     m = LpModel([-2.0], [3.0], [1.0], "max")
     res = solve_lp(m)
     assert res.status == OPTIMAL and res.x[0] == 3.0
@@ -267,7 +329,9 @@ def test_non_finite_optimum_raises():
 
 def _random_lp(rng):
     """A seeded LP of up to benchmark size: mostly boxed columns plus a few
-    half-bounded and fixed ones, and up to 60 sparse rows.  The rows
+    half-bounded and fixed ones, and up to 60 sparse rows.  Each
+    half-bounded column's objective favours its lower bound, so the LP is
+    bounded (``LpModel`` rejects it otherwise).  The rows
     hold at a random point inside the bounds, yet about a third have
     negative right-hand sides, so the slack basis is primal infeasible and dual
     pivots run; some repeat at a scale of 2 or 3, which makes bases
@@ -305,7 +369,10 @@ def _random_lp(rng):
     if rng.random() < 0.2:
         rows.append(-rows[0])
         rhs.append(-rhs[0] - 0.5)
-    return "min" if rng.random() < 0.5 else "max", obj, lows, ups, np.array(rows), np.array(rhs)
+    sense = "min" if rng.random() < 0.5 else "max"
+    half = np.isinf(ups)
+    obj[half] = np.abs(obj[half]) if sense == "min" else -np.abs(obj[half])
+    return sense, obj, lows, ups, np.array(rows), np.array(rhs)
 
 
 def _embed(sense, obj, lows, ups, rows, rhs):
@@ -327,7 +394,7 @@ def test_against_highs(monkeypatch):
     lu_factor = lp.lu_factor
     monkeypatch.setattr(lp, "lu_factor", lambda B: factorizations.append(1) or lu_factor(B))
     rng = np.random.default_rng(2021)
-    statuses = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+    statuses = {0: OPTIMAL, 2: INFEASIBLE}
     seen = set()
     for _ in range(_DIFFERENTIAL_LPS):
         sense, obj, lows, ups, rows, rhs = _random_lp(rng)
@@ -338,7 +405,7 @@ def test_against_highs(monkeypatch):
         if res.status == OPTIMAL:
             assert res.objective == pytest.approx(sign * ref.fun, abs=1e-7)
         seen.add(res.status)
-    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert seen == {OPTIMAL, INFEASIBLE}
     # the two-phase primal start with artificial columns took 5,175
     assert len(factorizations) < 5175
 
@@ -379,7 +446,7 @@ def test_warm_resolve_matches_cold_and_highs(monkeypatch):
     lu_factor = lp.lu_factor
     monkeypatch.setattr(lp, "lu_factor", lambda B: factorizations.append(1) or lu_factor(B))
     rng = np.random.default_rng(2022)
-    statuses = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+    statuses = {0: OPTIMAL, 2: INFEASIBLE}
     seen = set()
     warm_iters = cold_iters = 0
     for _ in range(_DIFFERENTIAL_LPS):
@@ -398,8 +465,8 @@ def test_warm_resolve_matches_cold_and_highs(monkeypatch):
             assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
             assert warm.objective == pytest.approx(sign * ref.fun, abs=1e-7)
         seen.add(warm.status)
-    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
-    assert warm_iters < 0.7 * cold_iters
+    assert seen == {OPTIMAL, INFEASIBLE}
+    assert warm_iters < 0.9 * cold_iters
 
 
 def test_bland_fallback_matches_default(monkeypatch):

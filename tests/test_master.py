@@ -8,7 +8,7 @@ from subig import bruteforce, cuts, follower, master
 from subig.master import SolverConfig
 from subig.problems import WmcigInstance, gen_biig, gen_wmcig
 
-from conftest import random_knapsack
+from conftest import leader_feasible_vectors, random_knapsack
 
 
 def cfg(setting, **kw):
@@ -58,6 +58,25 @@ def test_separate_integer_examples(cover_example, bipartite_example):
     assert len(built) == 1
     assert built[0].c0 == pytest.approx(1.6, abs=1e-9)
     assert built[0].source_set == {1, 2}
+
+
+def test_alternative_cut_at_an_integer_point_has_no_pairs(cover_example, bipartite_example):
+    """At a binary x every member of the follower set is uninterdicted, so
+    no exchange spread x_a - x_b is positive: the alternative cut is its
+    base, and separate_integer under A builds the main cut alone."""
+    for inst in (cover_example, bipartite_example):
+        orc, knap = inst.oracle(), inst.knapsacks()
+        for x in leader_feasible_vectors(orc.n, inst.k):
+            avail = [i for i in range(orc.n) if x[i] == 0]
+            for cutoff in (None, -1.0):  # the exact set and the greedy one
+                s_hat = follower.solve_sep(orc, avail, knap, cutoff=cutoff).items
+                if not s_hat:
+                    continue
+                for base in (cuts.basic_sic(orc, s_hat),
+                             cuts.improved_sic(orc, s_hat, cuts.default_ordering(orc, s_hat))):
+                    assert cuts.alternative_sic(orc, s_hat, base, x, knap) is base
+            built, _ = master.separate_integer(orc, knap, cfg("IA-S1"), -1.0, x, {}, {})
+            assert len(built) == 1 and built[0].family == "improved"
 
 
 def test_separate_integer_enhanced_uses_greedy(cover_example):
@@ -321,6 +340,19 @@ def test_node_fixings_leave_the_model_bounds_unchanged():
     # every node after the root is solved with at least one fixing
     assert res.status == "node_limit" and res.nodes == 4
     assert solver.model.lb.tolist() == lb and solver.model.ub.tolist() == ub
+
+
+@pytest.mark.parametrize(
+    "limits, what",
+    [({"time_limit": float("nan")}, "time limit"), ({"time_limit": -3.0}, "time limit"),
+     ({"node_limit": -1}, "node limit")],
+)
+def test_nan_or_negative_limits_are_rejected(limits, what):
+    with pytest.raises(ValueError, match=what):
+        SolverConfig.from_setting("B-S1", **limits)
+    # zero and an infinite time limit stay valid
+    for ok in ({"time_limit": 0.0}, {"time_limit": float("inf")}, {"node_limit": 0}):
+        assert SolverConfig.from_setting("B-S1", **ok).setting() == "B-S1"
 
 
 def test_time_limit_status():

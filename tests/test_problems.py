@@ -185,6 +185,13 @@ def test_parse_names_the_line_at_fault(case):
         parse_instance(text)
 
 
+def test_repeated_arc_names_both_lines():
+    # it used to parse to arcs ((0, 1), (0, 1))
+    text = "BIIG 2 2 1 1\nP 0.5 0.5\nA 3\n0 1\n# note\n1 0\n0 1\n"
+    with pytest.raises(ValueError, match=r"^line 7: arc \(0,1\) repeats line 4$"):
+        parse_instance(text)
+
+
 _VALID = (
     "WMCIG 3 4 2 1\nP 5 9 6 4\nC 0 2 0 2\nC 1 2 0 1\nC 2 3 0 2 3\n",
     "BIIG 3 4 2 1\nP 0.3 0.5 0.4\nA 3\n0 0\n1 1\n2 2\n",
