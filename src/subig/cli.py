@@ -87,13 +87,9 @@ def make_record(instance, setting: str, result: master.SolveResult) -> RunRecord
     )
 
 
-def _parse_config(args) -> master.SolverConfig:
-    overrides = {}
-    if args.time_limit is not None:
-        overrides["time_limit"] = args.time_limit
-    if args.node_limit is not None:
-        overrides["node_limit"] = args.node_limit
-    return master.SolverConfig.from_setting(args.setting, **overrides)
+def _limits(args) -> dict:
+    """The limit flags that were given: ``SolverConfig`` holds the defaults."""
+    return {k: v for k in ("time_limit", "node_limit") if (v := getattr(args, k)) is not None}
 
 
 def cmd_generate(args) -> int:
@@ -125,7 +121,8 @@ def _bench_one(path: str, config: master.SolverConfig) -> RunRecord:
 
 
 def cmd_solve(args) -> int:
-    record = _solve_one(args.instance, _parse_config(args))
+    config = master.SolverConfig.from_setting(args.setting, **_limits(args))
+    record = _solve_one(args.instance, config)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(RUN_COLUMNS)
@@ -139,7 +136,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _parse_config(args)
+    config = master.SolverConfig.from_setting(args.setting, **_limits(args))
     inst = problems.load_instance(args.instance)
     oracle = inst.oracle()
     result = master.solve(inst, oracle, config)
@@ -161,7 +158,8 @@ def cmd_bench(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     # the limits apply to every line: checked once, so an error names the flag, not a line
-    master.SolverConfig(time_limit=args.time_limit, node_limit=args.node_limit)
+    limits = _limits(args)
+    master.SolverConfig(**limits)
     paths: List[str] = []
     configs: List[master.SolverConfig] = []
     with open(args.manifest, encoding="utf-8") as fh:
@@ -173,9 +171,7 @@ def cmd_bench(args) -> int:
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected '<path> <setting>', got {ln!r}")
             try:
-                config = master.SolverConfig.from_setting(
-                    parts[1], time_limit=args.time_limit, node_limit=args.node_limit
-                )
+                config = master.SolverConfig.from_setting(parts[1], **limits)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
             paths.append(parts[0])
@@ -245,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("manifest")
     ben.add_argument("--out", required=True)
     ben.add_argument("--threads", type=int, default=1)
-    ben.add_argument("--time-limit", type=float, default=3600.0, dest="time_limit")
+    ben.add_argument("--time-limit", type=float, default=None, dest="time_limit")
     ben.add_argument("--node-limit", type=int, default=None, dest="node_limit")
     ben.set_defaults(func=cmd_bench)
 

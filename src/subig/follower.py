@@ -11,6 +11,7 @@ or of its parent, which added rows and fixings keep dual feasible.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -24,10 +25,6 @@ OPTIMAL = "optimal"
 CUTOFF_EXCEEDED = "cutoff_exceeded"
 
 INT_TOL = 1e-6
-
-
-class FollowerTimeout(RuntimeError):
-    """Raised when the follower's time budget runs out before an answer."""
 
 
 @dataclass
@@ -130,15 +127,15 @@ def solve_sep(
     available: Iterable[int],
     knapsacks: KnapsackSystem,
     cutoff: float | None = None,
-    time_budget: float | None = None,
+    deadline: float = math.inf,
 ) -> SepResult:
     """Exact follower optimum over the available items via branch-and-cut.
 
     With a cutoff, returns as soon as some feasible solution's value exceeds
     it (status ``cutoff_exceeded``), the greedy start first; the value is then a
     lower bound on the true optimum, which is all the enhanced separation
-    needs.  Raises FollowerTimeout before an LP once ``time_budget`` seconds
-    have passed.
+    needs.  ``deadline``, a ``time.monotonic()`` value, goes to every LP:
+    ``lp.DeadlineExceeded`` comes from the first pivot that reaches it.
     """
     _check_size(oracle, knapsacks)
     items = sorted(set(available))
@@ -146,7 +143,6 @@ def solve_sep(
         oracle.check_item(i)
     if not items:
         return SepResult(frozenset(), 0.0, OPTIMAL)
-    t0 = time.monotonic()
     ub_theta = oracle.value(items)  # monotonicity: no subset beats the full set
     inc_set, _ = greedy(oracle, items, knapsacks=knapsacks)
     inc_val = oracle.value(inc_set)
@@ -182,9 +178,7 @@ def solve_sep(
         fixings, basis = stack.pop()
         fixed = {ycol[i]: float(v) for i, v in fixings.items()}
         while True:
-            if time_budget is not None and time.monotonic() - t0 > time_budget:
-                raise FollowerTimeout("follower subproblem exceeded its time budget")
-            res = solve_lp(model, fixed, basis)
+            res = solve_lp(model, fixed, basis, deadline)
             if res.status == INFEASIBLE or res.objective <= inc_val + 1e-9:
                 break
             basis = res.basis
@@ -235,7 +229,7 @@ def phi(
     time_budget: float | None = None,
 ) -> float:
     """Follower value under interdiction x (binary): exact optimum over the
-    uninterdicted items."""
+    uninterdicted items, within ``time_budget`` seconds (negative: none left)."""
     if len(x) != oracle.n:
         raise ValueError(f"interdiction vector has {len(x)} entries, the oracle {oracle.n} items")
     avail = []
@@ -244,5 +238,6 @@ def phi(
             raise ValueError("interdiction vector must be binary")
         if xi <= INT_TOL:
             avail.append(i)
-    return solve_sep(oracle, avail, knapsacks, time_budget=time_budget).value
+    deadline = math.inf if time_budget is None else time.monotonic() + time_budget
+    return solve_sep(oracle, avail, knapsacks, deadline=deadline).value
 

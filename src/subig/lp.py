@@ -9,32 +9,34 @@ of an earlier optimal result, whose model may have gained rows since
 (their slacks start basic), or else the slack basis.
 
 The loop takes one pivot kind, the bounded dual simplex pivot (Koberstein,
-*The dual simplex method*, 2005).  First, each boxed nonbasic column whose
-reduced cost has the wrong sign moves to its other bound, which makes the
-start dual feasible; added rows and fixings keep an optimal basis so.
-While a basic value is out of its bounds, the leaving row has the largest
-violation (ties to the lowest id) and the entering column the least ratio
-|d_j / alpha_j| (ties to the largest |alpha_j|, then the lowest id) among
-those whose |alpha_j| is at least 1e-9 of the largest; a violated row with
-no eligible column proves the LP infeasible.  After 1000
-degenerate pivots the picks switch to smallest-index rules; runs are
-deterministic.  Rather than return a vertex that is not optimal, the loop
-raises ``SolverError`` when a column without an upper bound improves at
-the start (only a basis from a solve whose fixings were later released has
-one) or a reduced cost has the wrong sign at the end.
+*The dual simplex method*, 2005).  At the start, and at any basis with no
+basic value out of its bounds, each boxed nonbasic column whose reduced cost
+has the wrong sign moves to its other bound, which makes the basis dual
+feasible; added rows and fixings keep an optimal basis so.  While a basic
+value is out of its bounds, the leaving row has the largest violation (ties
+to the lowest id) and the entering column the least ratio |d_j / alpha_j|
+(ties to the largest |alpha_j|, then the lowest id) among those whose
+|alpha_j| is at least 1e-9 of the largest; a violated row with no eligible
+column proves the LP infeasible.  After 1000 degenerate pivots the picks
+switch to smallest-index rules; runs are deterministic.  A wrong-sign
+column without an upper bound raises ``SolverError`` (only a basis from a
+solve whose fixings were later released has one).
+
+A solve's deadline, a ``time.monotonic()`` value, is the solver's one time
+check: each pivot reads the clock first and raises ``DeadlineExceeded`` there.
 
 Each pivot factorizes the basis once with LAPACK's ``dgetrf`` and solves
-with ``dgetrs``: the routines ``scipy.linalg.lu_factor`` and ``lu_solve``
-wrap, called directly, so the pivots are bit-identical but the wrappers'
-per-call finite checks are gone.  Those checks live at model build instead:
-the ``LpModel`` constructor rejects NaN bounds, empty ranges and non-finite
-lower bounds and objectives, ``add_row`` and ``solve_lp`` non-finite rows and
-fixings, and ``solve_lp`` raises ``SolverError`` on a non-finite optimum.
+with ``dgetrs``, bit-identical to ``scipy.linalg.lu_factor`` and
+``lu_solve`` without their per-call finite checks: the ``LpModel``
+constructor rejects NaN bounds, empty ranges and non-finite lower bounds
+and objectives, ``add_row`` and ``solve_lp`` non-finite rows and fixings,
+and ``solve_lp`` raises ``SolverError`` on a non-finite optimum.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
@@ -57,6 +59,10 @@ _AT_UB = 1
 
 class SolverError(RuntimeError):
     """Numerical failure that survived anti-cycling recovery."""
+
+
+class DeadlineExceeded(RuntimeError):
+    """Raised at a pivot once the solve's deadline is reached."""
 
 
 @dataclass(frozen=True)
@@ -143,12 +149,16 @@ class LpModel:
 
 
 def solve_lp(
-    model: LpModel, fixed: Optional[Dict[int, float]] = None, basis: Optional[Basis] = None
+    model: LpModel, fixed: Optional[Dict[int, float]] = None, basis: Optional[Basis] = None,
+    deadline: float = math.inf,
 ) -> LpResult:
     """Optimize the model with each column in ``fixed`` held at its value for
     this solve only; the model itself is not changed.  A fixing outside the
     column's bounds makes the solve infeasible.  ``basis``, from an earlier
-    solve of this model, is the start; without it the slack basis is."""
+    solve of this model, is the start; without it the slack basis is.  A
+    pivot that finds ``time.monotonic()`` at ``deadline`` raises."""
+    if math.isnan(deadline):
+        raise ValueError("deadline must not be NaN")
     n = model.n_vars
     m = model.n_rows
     sign = 1.0 if model.sense == "min" else -1.0
@@ -177,7 +187,7 @@ def solve_lp(
     # a nonbasic column sits at the bound its state names if finite, else at its lower bound
     stat = np.where(np.isfinite(up) & (stat == _AT_UB), _AT_UB, _AT_LB)
     x = np.where(stat == _AT_UB, up, low)
-    status = _simplex(A, b, low, up, c, basic, x, stat)
+    status = _simplex(A, b, low, up, c, basic, x, stat, deadline)
     if status == INFEASIBLE:
         return LpResult(INFEASIBLE, x[:n].copy(), 0.0)
     obj = sign * float(c @ x)
@@ -225,7 +235,7 @@ def _wrong_sign(d, movable_nb, at_lb, d_tol) -> np.ndarray:
     return movable_nb & np.where(at_lb, d < -d_tol, d > d_tol)
 
 
-def _simplex(A, b, low, up, c, basis, x, stat) -> str:
+def _simplex(A, b, low, up, c, basis, x, stat, deadline) -> str:
     """In-place bounded dual simplex over equalities A v = b from a basis
     that bound flips make dual feasible (see the module docstring)."""
     total = A.shape[1]
@@ -236,18 +246,21 @@ def _simplex(A, b, low, up, c, basis, x, stat) -> str:
     bland = False
     d_tol = OPT_TOL * max(1.0, float(np.max(np.abs(c))) if total else 1.0)
     unit = np.zeros(A.shape[0])
+    flip_at = 0  # the start, then the pivot after a basis without a violated row
 
     for it in range(MAX_ITERATIONS):
+        if time.monotonic() >= deadline:
+            raise DeadlineExceeded("the LP reached its deadline")
         lu = lu_factor(A[:, basis])
         nb = ~in_basis
         at_lb = stat == _AT_LB
         pi = lu_solve(lu, c[basis], trans=1)
         d = c - A.T @ pi
-        if it == 0:
+        if it == flip_at:
             flip = _wrong_sign(d, nb & movable, at_lb, d_tol)
             if flip.any():  # each wrong-sign column moves to its other bound
                 if np.isinf(up[flip]).any():
-                    raise SolverError("a column without an upper bound improves at the start basis")
+                    raise SolverError("a column without an upper bound improves")
                 x[flip] = np.where(at_lb[flip], up[flip], low[flip])
                 stat[flip] = np.where(at_lb[flip], _AT_UB, _AT_LB)
                 at_lb = stat == _AT_LB
@@ -258,9 +271,10 @@ def _simplex(A, b, low, up, c, basis, x, stat) -> str:
         violation = np.maximum(below, xb - up[basis])
         rows = np.flatnonzero(violation > PRIMAL_TOL)
         if rows.size == 0:
-            if _wrong_sign(d, nb & movable, at_lb, d_tol).any():
-                raise SolverError("a reduced cost has the wrong sign at the final basis")
-            return OPTIMAL
+            if not _wrong_sign(d, nb & movable, at_lb, d_tol).any():
+                return OPTIMAL
+            flip_at = it + 1  # a pivot too small to take left a wrong sign
+            continue
 
         # leaving row: the largest bound violation, ties to the lowest id
         if not bland:

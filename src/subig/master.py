@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import re
 import time
 from dataclasses import dataclass, field
@@ -25,8 +26,8 @@ from . import cuts as cutgen
 from . import follower
 from .core import KnapsackSystem, SubmodularOracle
 from .cuts import Cut
-from .follower import INT_TOL, FollowerTimeout
-from .lp import Basis, LpModel, solve_lp, INFEASIBLE
+from .follower import INT_TOL
+from .lp import Basis, DeadlineExceeded, LpModel, solve_lp, INFEASIBLE
 
 VIOL_TOL = 1e-6
 FRAC_VIOLATION_THRESHOLD = 0.01  # relative violation a fractional cut must exceed
@@ -242,7 +243,7 @@ def separate_integer(
     x_star: Sequence[float],
     dominating: Mapping[int, Tuple[int, ...]],
     phi_cache: Dict[frozenset, Tuple[float, frozenset]],
-    time_budget: float | None = None,
+    deadline: float = math.inf,
 ) -> Tuple[List[Cut], Optional[float]]:
     """Exact separation at a binary leader point: one follower solve, which
     under E runs in cutoff mode at w* + VIOL_TOL, the same test as for an
@@ -261,7 +262,7 @@ def separate_integer(
         res = follower.solve_sep(
             oracle, avail, knapsacks,
             cutoff=w_star + VIOL_TOL if config.enable_enhanced_int_sep else None,
-            time_budget=time_budget,
+            deadline=deadline,
         )
         if res.status == follower.OPTIMAL:
             phi_val = res.value
@@ -339,16 +340,10 @@ class InterdictionSolver:
         seq = itertools.count()
         heap: List[_Node] = [_Node(bound=0.0, seq=next(seq), fixings={})]
 
-        def remaining() -> float:
-            return deadline - time.monotonic()
-
         def lower_bound() -> Optional[float]:
             return _capped(heap[0].bound, inc_val) if heap else inc_val
 
         while heap:
-            if remaining() <= 0:
-                status = STATUS_TIME
-                break
             if self.config.node_limit is not None and len(self.events) >= self.config.node_limit:
                 status = STATUS_NODES
                 break
@@ -357,8 +352,8 @@ class InterdictionSolver:
                 break
             node = heapq.heappop(heap)
             try:
-                bound, incumbent, children, basis = self._process_node(node, inc_val, remaining)
-            except FollowerTimeout:
+                bound, incumbent, children, basis = self._process_node(node, inc_val, deadline)
+            except DeadlineExceeded:  # from any LP of the node, the follower's included
                 status = STATUS_TIME
                 heapq.heappush(heap, node)
                 break
@@ -391,11 +386,11 @@ class InterdictionSolver:
             events=self.events,
         )
 
-    def _process_node(self, node: _Node, inc_val: Optional[float], remaining):
+    def _process_node(self, node: _Node, inc_val: Optional[float], deadline: float):
         """(bound, incumbent or None, fixings of each child, last LP basis)
         of one node.  Each LP starts from the basis of the one before it: the
         parent's last, then this node's previous round.  A fixing or a new
-        cut row keeps that basis dual feasible."""
+        cut row keeps that basis dual feasible.  Every LP stops at ``deadline``."""
         fixed = {j: float(v) for j, v in node.fixings.items()}
         frac_done = False
         incumbent = None
@@ -403,9 +398,7 @@ class InterdictionSolver:
         bound = node.bound
         basis = node.basis
         while True:
-            if remaining() <= 0:
-                raise FollowerTimeout("node processing out of time")
-            res = solve_lp(self.model, fixed, basis)
+            res = solve_lp(self.model, fixed, basis, deadline)
             if res.status == INFEASIBLE:
                 break
             bound, basis = res.objective, res.basis
@@ -424,7 +417,7 @@ class InterdictionSolver:
                     x_hat,
                     self.dominating,
                     phi_cache=self.phi_cache,
-                    time_budget=remaining(),
+                    deadline=deadline,
                 )
                 if built:
                     added = sum(self._add_cut(c) for c in built)
@@ -433,9 +426,10 @@ class InterdictionSolver:
                     # violated cuts all duplicated existing rows: accept
                     # at the exact defended value
                     if phi_val is None:
-                        phi_val = follower.phi(
-                            self.oracle, x_hat, self.knapsacks, time_budget=remaining()
-                        )
+                        avail = [i for i in range(self.n) if x_hat[i] == 0.0]
+                        phi_val = follower.solve_sep(
+                            self.oracle, avail, self.knapsacks, deadline=deadline
+                        ).value
                 incumbent = (phi_val, tuple(int(v) for v in x_hat))
                 break
             if not frac_done:

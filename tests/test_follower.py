@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from subig import follower, lp
 from subig.bruteforce import brute_force_phi
 from subig.core import KnapsackSystem
-from subig.follower import CUTOFF_EXCEEDED, OPTIMAL, FollowerTimeout
+from subig.follower import CUTOFF_EXCEEDED, OPTIMAL
 from subig.problems import gen_biig, gen_wmcig
 
 
@@ -106,9 +108,23 @@ def test_solve_sep_cutoff_mode(cover_example):
 
 
 def test_solve_sep_times_out(cover_example):
+    """A deadline already past, or a negative budget, stops the first LP."""
     worc = cover_example.oracle()
-    with pytest.raises(FollowerTimeout):
-        follower.solve_sep(worc, [0, 1, 2], cover_example.knapsacks(), time_budget=-1.0)
+    knap = cover_example.knapsacks()
+    with pytest.raises(lp.DeadlineExceeded):
+        follower.solve_sep(worc, [0, 1, 2], knap, deadline=time.monotonic() - 1.0)
+    with pytest.raises(lp.DeadlineExceeded):
+        follower.phi(worc, [0, 0, 0], knap, time_budget=-1.0)
+
+
+def test_nan_budget_or_deadline_is_rejected(cover_example):
+    """A NaN deadline would never pass, so the follower would run unlimited."""
+    worc = cover_example.oracle()
+    knap = cover_example.knapsacks()
+    with pytest.raises(ValueError, match="NaN"):
+        follower.phi(worc, [0, 0, 0], knap, time_budget=math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        follower.solve_sep(worc, [0, 1, 2], knap, deadline=math.nan)
 
 
 def test_phi_examples(cover_example, bipartite_example):
@@ -173,9 +189,9 @@ def test_warm_started_lps_give_the_cold_value(monkeypatch):
     solve_lp = follower.solve_lp
     bases = []
 
-    def cold_solve_lp(model, fixed, basis):
+    def cold_solve_lp(model, fixed, basis, deadline):
         bases.append(basis)
-        return solve_lp(model, fixed)
+        return solve_lp(model, fixed, None, deadline)
 
     monkeypatch.setattr(follower, "solve_lp", cold_solve_lp)
     for (orc, mask, knap, tol), value in zip(cases, warm):
@@ -199,7 +215,10 @@ def test_warm_start_takes_fewer_factorizations(monkeypatch):
     warm = follower.solve_sep(orc, avail, knap)
     warm_calls, calls[0] = calls[0], 0
     solve_lp = follower.solve_lp
-    monkeypatch.setattr(follower, "solve_lp", lambda model, fixed, basis: solve_lp(model, fixed))
+    monkeypatch.setattr(
+        follower, "solve_lp",
+        lambda model, fixed, basis, deadline: solve_lp(model, fixed, None, deadline),
+    )
     cold = follower.solve_sep(orc, avail, knap)
     assert warm.value == pytest.approx(cold.value, abs=1e-9)
     assert 0 < warm_calls < calls[0]
@@ -207,27 +226,61 @@ def test_warm_start_takes_fewer_factorizations(monkeypatch):
 
 def test_time_budget_is_checked_before_every_lp(monkeypatch):
     """Each LP here takes 10 s of a fake clock.  The root of this instance
-    takes two cut rounds, and once the first LP has spent the 5 s budget
-    the second must not start."""
+    takes two cut rounds, and once the first LP has passed the deadline at
+    5 s the second raises at its first pivot, before it factorizes."""
     inst = gen_wmcig(20, 2, 0.2, 1)
     orc, knap = inst.oracle(), inst.knapsacks()
     now = [0.0]
     fixings = []
+    factorizations = []
     solve_lp = follower.solve_lp
+    lu_factor = lp.lu_factor
 
-    def slow_solve_lp(model, fixed, basis=None):
-        fixings.append(dict(fixed))
+    def slow_solve_lp(model, fixed, basis, deadline):
+        res = solve_lp(model, fixed, basis, deadline)
+        fixings.append((dict(fixed), len(factorizations)))
         now[0] += 10.0
-        return solve_lp(model, fixed, basis)
+        return res
+
+    def counting_lu_factor(B):
+        factorizations.append(B.shape[0])
+        return lu_factor(B)
 
     monkeypatch.setattr(follower, "solve_lp", slow_solve_lp)
-    monkeypatch.setattr(follower, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(lp, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(lp, "lu_factor", counting_lu_factor)
     assert follower.solve_sep(orc, range(orc.n), knap).status == OPTIMAL
-    assert fixings[:2] == [{}, {}]  # two LPs at the root
+    assert [f for f, _ in fixings[:2]] == [{}, {}]  # two LPs at the root
     fixings.clear()
-    with pytest.raises(FollowerTimeout):
-        follower.solve_sep(orc, range(orc.n), knap, time_budget=5.0)
-    assert fixings == [{}]
+    factorizations.clear()
+    now[0] = 0.0
+    with pytest.raises(lp.DeadlineExceeded):
+        follower.solve_sep(orc, range(orc.n), knap, deadline=5.0)
+    assert fixings == [({}, len(factorizations))]  # the second LP factorized nothing
+
+
+def test_phi_raises_once_its_lp_outlives_the_budget(monkeypatch):
+    """A fake clock moves 1 s at each read.  Unlimited, this query's LPs
+    read it more than 5 times; under a 5 s budget the LP that reaches the
+    deadline raises at that read, not later."""
+    inst = gen_wmcig(20, 2, 0.2, 1)
+    orc, knap = inst.oracle(), inst.knapsacks()
+    x = [0.0] * orc.n
+    now = [0.0]
+
+    def tick():
+        now[0] += 1.0
+        return now[0]
+
+    monkeypatch.setattr(lp, "time", SimpleNamespace(monotonic=tick))
+    monkeypatch.setattr(follower, "time", SimpleNamespace(monotonic=tick))
+    value = follower.phi(orc, x, knap)
+    assert now[0] > 5.0
+    now[0] = 0.0
+    with pytest.raises(lp.DeadlineExceeded):
+        follower.phi(orc, x, knap, time_budget=5.0)
+    assert now[0] == 6.0  # the budget's start at 1 s, then five LP reads
+    assert follower.phi(orc, x, knap, time_budget=math.inf) == value
 
 
 def test_integer_point_the_rows_cannot_cut_is_branched_on(monkeypatch):

@@ -1,4 +1,6 @@
 import itertools
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +28,39 @@ def test_two_variable_cut_row():
     assert res.objective == pytest.approx(6.0, abs=1e-7)
     assert res.x[x2] == pytest.approx(1.0, abs=1e-7)
     assert res.x[x1] == pytest.approx(0.0, abs=1e-7)
+
+
+def test_deadline_is_checked_at_every_pivot(monkeypatch):
+    """The LP of the test above takes three pivots.  With a fake clock that
+    passes the deadline after the first, the second raises before it
+    factorizes; with no deadline the LP ends where it ends by default."""
+    m = LpModel([0.0, 0.0, 0.0], [1.0, 1.0, np.inf], [0.0, 0.0, 1.0])
+    m.add_row({2: -1.0, 0: -11.0, 1: -14.0}, -20.0)
+    m.add_row({0: 1.0, 1: 1.0}, 1.0)
+    default = solve_lp(m)
+    reads, factorizations = [], []
+    lu_factor = lp.lu_factor
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) == 1 else 10.0
+
+    def counting_lu_factor(B):
+        factorizations.append(B.shape[0])
+        return lu_factor(B)
+
+    monkeypatch.setattr(lp, "time", SimpleNamespace(monotonic=clock))
+    monkeypatch.setattr(lp, "lu_factor", counting_lu_factor)
+    unlimited = solve_lp(m, deadline=math.inf)
+    assert len(factorizations) == 4 and len(reads) == 4  # one read per pivot, and the last
+    assert unlimited.objective == default.objective and np.array_equal(unlimited.x, default.x)
+    reads.clear()
+    factorizations.clear()
+    with pytest.raises(lp.DeadlineExceeded):
+        solve_lp(m, deadline=5.0)
+    assert len(reads) == 2 and len(factorizations) == 1
+    with pytest.raises(ValueError, match="NaN"):
+        solve_lp(m, deadline=math.nan)
 
 
 def test_infeasible_rows():
@@ -150,14 +185,17 @@ def test_released_fixing_of_an_unbounded_column_raises():
     assert cold.status == OPTIMAL and cold.objective == pytest.approx(-1.0, abs=1e-9)
 
 
-def test_wrong_sign_at_the_final_basis_raises():
+def test_wrong_sign_at_a_feasible_basis_flips_to_the_optimum():
     # min x1 with 1e-3 x1 + 5e-11 x2 >= 5e-4: x2's coefficient is below the
     # pivot tolerance, so x1 enters; at x1 = 0.5 the basis is primal
-    # feasible, but x2 has reduced cost -5e-8, beyond the dual tolerance
+    # feasible, but x2 has reduced cost -5e-8, beyond the dual tolerance.
+    # x2 flips to 1 and x1 falls to the exact optimum.
     m = LpModel([0.0, 0.0], [1.0, 1.0], [1.0, 0.0])
     m.add_row({0: -1e-3, 1: -5e-11}, -5e-4)
-    with pytest.raises(lp.SolverError, match="wrong sign"):
-        solve_lp(m)
+    res = solve_lp(m)
+    assert res.status == OPTIMAL
+    assert res.objective == pytest.approx((5e-4 - 5e-11) / 1e-3, abs=1e-9)
+    assert res.x.tolist() == pytest.approx([(5e-4 - 5e-11) / 1e-3, 1.0], abs=1e-9)
 
 
 def test_dual_degenerate_flipped_start_reaches_the_optimum():

@@ -1,10 +1,11 @@
 import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from subig import bruteforce, cuts, follower, master
+from subig import bruteforce, cuts, follower, lp, master
 from subig.master import SolverConfig
 from subig.problems import WmcigInstance, gen_biig, gen_wmcig
 
@@ -362,7 +363,7 @@ def test_time_limit_status():
 
 
 def test_follower_timeout_inside_a_node_stops_the_run(monkeypatch):
-    """A FollowerTimeout from a node's exact separation ends the run with
+    """A deadline reached in a node's exact separation ends the run with
     status time_limit; the node goes back on the heap, so the lower bound
     stays a valid bound."""
     inst = dataclasses.replace(gen_wmcig(9, 3, 0.2, 0), B=2, k=2)
@@ -374,7 +375,7 @@ def test_follower_timeout_inside_a_node_stops_the_run(monkeypatch):
     def second_call_times_out(*args, **kwargs):
         calls.append(args)
         if len(calls) == 2:
-            raise follower.FollowerTimeout("follower subproblem exceeded its time budget")
+            raise lp.DeadlineExceeded("the LP reached its deadline")
         return real_solve_sep(*args, **kwargs)
 
     monkeypatch.setattr(follower, "solve_sep", second_call_times_out)
@@ -387,15 +388,57 @@ def test_follower_timeout_inside_a_node_stops_the_run(monkeypatch):
 
 
 def test_node_out_of_time_before_its_lp(monkeypatch, cover_example):
-    """The clock runs out between the loop-top check and the node's own
-    check: the node raises, and the run stops with its bound open."""
-    ticks = iter([0.0, 0.0])  # the start and the loop-top check; then past the deadline
-    monkeypatch.setattr(master, "time", SimpleNamespace(monotonic=lambda: next(ticks, 100.0)))
-    lp_calls = []
-    monkeypatch.setattr(master, "solve_lp", lambda *args: lp_calls.append(args))
+    """The clock runs out after the run starts and before the root LP's
+    first pivot: the LP raises before it factorizes, and the run stops with
+    the root's bound open."""
+    monkeypatch.setattr(master, "time", SimpleNamespace(monotonic=lambda: 0.0))
+    monkeypatch.setattr(lp, "time", SimpleNamespace(monotonic=lambda: 100.0))
+    factorizations = []
+    monkeypatch.setattr(lp, "lu_factor", lambda B: factorizations.append(B))
     res = master.solve(cover_example, cover_example.oracle(), cfg("I-S1", time_limit=10.0))
-    assert res.status == "time_limit" and lp_calls == []
+    assert res.status == "time_limit" and factorizations == []
     assert res.nodes == 0 and res.value is None and res.lower_bound == 0.0
+
+
+def test_clock_running_out_inside_a_master_lp_stops_the_run(monkeypatch):
+    """A fake clock passes the deadline at a pivot in the middle of a master
+    LP.  The run ends with status time_limit, counts only the nodes it
+    completed, and its lower bound stays valid."""
+    inst = dataclasses.replace(gen_wmcig(9, 3, 0.2, 0), B=2, k=2)
+    orc = inst.oracle()
+    optimum = bruteforce.brute_force_solve(inst, orc).value
+    full = master.solve(inst, orc, cfg("I-S1"))
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return 0.0 if len(reads) <= 80 else 100.0
+
+    completed, stopped_in = [], []
+    process_node = master.InterdictionSolver._process_node
+    solve_lp = master.solve_lp
+
+    def counting_process_node(self, *args):
+        completed.append(process_node(self, *args))
+        return completed[-1]
+
+    def master_lp(model, fixed, basis, deadline):
+        start = len(reads)
+        try:
+            return solve_lp(model, fixed, basis, deadline)
+        except lp.DeadlineExceeded:
+            stopped_in.append(len(reads) - start)
+            raise
+
+    monkeypatch.setattr(master, "time", SimpleNamespace(monotonic=lambda: 0.0))
+    monkeypatch.setattr(lp, "time", SimpleNamespace(monotonic=clock))
+    monkeypatch.setattr(master.InterdictionSolver, "_process_node", counting_process_node)
+    monkeypatch.setattr(master, "solve_lp", master_lp)
+    res = master.solve(inst, orc, cfg("I-S1", time_limit=10.0))
+    assert stopped_in == [2]  # at the second pivot of a master LP
+    assert res.status == "time_limit"
+    assert 0 < res.nodes == len(completed) < full.nodes
+    assert res.lower_bound <= optimum
 
 
 @pytest.mark.parametrize("setting, reported", [("I-S1", True), ("IE-S1", False)])
@@ -404,8 +447,8 @@ def test_integer_point_whose_cuts_are_all_rows_is_accepted_at_phi(
 ):
     """When every cut an integer separation returns is already a row, the
     node accepts its point at the exact defended value: the one the
-    separation reports, or else one follower.phi run (E mode may report
-    none)."""
+    separation reports, or else one exact follower.solve_sep run (E mode
+    may report none)."""
     orc = cover_example.oracle()
     knap = cover_example.knapsacks()
     solver = master.InterdictionSolver(cover_example, orc, cfg(setting))
@@ -417,20 +460,20 @@ def test_integer_point_whose_cuts_are_all_rows_is_accepted_at_phi(
         master, "separate_integer",
         lambda *args, **kwargs: ([root_cut], phi_exact if reported else None),
     )
-    phi_calls = []
-    real_phi = follower.phi
+    sep_calls = []
+    real_solve_sep = follower.solve_sep
 
-    def counting_phi(*args, **kwargs):
-        phi_calls.append(args)
-        return real_phi(*args, **kwargs)
+    def counting_solve_sep(*args, **kwargs):
+        sep_calls.append(args)
+        return real_solve_sep(*args, **kwargs)
 
-    monkeypatch.setattr(follower, "phi", counting_phi)
+    monkeypatch.setattr(follower, "solve_sep", counting_solve_sep)
     rows = solver.model.n_rows
     node = master._Node(bound=0.0, seq=0, fixings=dict(enumerate(x_hat)))
-    _, incumbent, children, _ = solver._process_node(node, None, lambda: 100.0)
+    _, incumbent, children, _ = solver._process_node(node, None, math.inf)
     assert solver.model.n_rows == rows  # the cut was a duplicate
     assert incumbent == (phi_exact, x_hat) and children == []
-    assert len(phi_calls) == (0 if reported else 1)
+    assert len(sep_calls) == (0 if reported else 1)
 
 
 @pytest.mark.parametrize("example", ["cover_example", "bipartite_example"])
@@ -442,9 +485,9 @@ def test_warm_started_lps_give_the_cold_value(request, monkeypatch, example):
     solve_lp = master.solve_lp
     bases = []
 
-    def cold_solve_lp(model, fixed, basis):
+    def cold_solve_lp(model, fixed, basis, deadline):
         bases.append(basis)
-        return solve_lp(model, fixed)
+        return solve_lp(model, fixed, None, deadline)
 
     monkeypatch.setattr(master, "solve_lp", cold_solve_lp)
     for setting in master.LADDER_SETTINGS:
