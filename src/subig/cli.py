@@ -106,7 +106,7 @@ def _solve_one(path: str, config: master.SolverConfig) -> RunRecord:
     """Load one instance file, solve it, and return its run record."""
     inst = problems.load_instance(path)
     result = master.solve(inst, inst.oracle(), config)
-    return make_record(inst, config.setting(), result)
+    return make_record(inst, config.setting, result)
 
 
 def _bench_one(path: str, config: master.SolverConfig) -> RunRecord:
@@ -116,8 +116,8 @@ def _bench_one(path: str, config: master.SolverConfig) -> RunRecord:
     try:
         return _solve_one(path, config)
     except (SolverError, OSError, ValueError) as exc:
-        print(f"error: {path} {config.setting()}: {exc}", file=sys.stderr)
-        return RunRecord.failed(path, config.setting())
+        print(f"error: {path} {config.setting}: {exc}", file=sys.stderr)
+        return RunRecord.failed(path, config.setting)
 
 
 def cmd_solve(args) -> int:

@@ -9,6 +9,7 @@ evaluators are single-owner.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Tuple
 
@@ -181,11 +182,12 @@ class KnapsackSystem:
             raise ValueError("a knapsack system needs at least one constraint row")
         if len(self.costs) != len(self.caps):
             raise ValueError("one capacity per cost row required")
-        for row in self.costs:
+        for r, (row, cap) in enumerate(zip(self.costs, self.caps)):
             if len(row) != self.n:
                 raise ValueError("every cost row needs one entry per item")
-            if any(c < 0 for c in row):
-                raise ValueError("knapsack costs must be non-negative")
+            # NaN fails this test too; the follower's greedy and LP disagree on NaN or inf
+            if not all(0.0 <= c < math.inf for c in (*row, cap)):
+                raise ValueError(f"row {r}: knapsack numbers must be finite and non-negative")
         matrix = np.array(self.costs, dtype=float).reshape(len(self.caps), self.n)
         matrix.setflags(write=False)
         object.__setattr__(self, "_matrix", matrix)

@@ -35,10 +35,6 @@ class Cut:
     def rhs(self, x: Sequence[float]) -> float:
         return self.c0 + sum(gi * x[i] for i, gi in sorted(self.g.items()))
 
-    @property
-    def source_set(self) -> frozenset:
-        return frozenset(self.source)
-
 
 def default_ordering(oracle: SubmodularOracle, s_hat: Iterable[int]) -> Tuple[int, ...]:
     """Members sorted by non-increasing empty-set gain, ties by ascending id."""
@@ -79,19 +75,19 @@ def improved_sic(
 
 def lift_sic(
     oracle: SubmodularOracle,
-    s_hat: Iterable[int],
     base: Cut,
     x_star: Sequence[float],
     dominating: Mapping[int, Tuple[int, ...]],
 ) -> Cut:
-    """Greedy pair selection: walk S by non-increasing empty-set gain, pick per
-    item the replacement maximizing (gain of entering - residual gain of the
-    replaced item) * (1 - x*_b); keep only strictly positive scores.
+    """Greedy pair selection: walk the base cut's follower set S by
+    non-increasing empty-set gain, pick per item the replacement maximizing
+    (gain of entering - residual gain of the replaced item) * (1 - x*_b);
+    keep only strictly positive scores.
     ``dominating`` maps an item to the items that may replace it (no costlier
     anywhere and at least as useful for every residual set)."""
-    members = set(s_hat)
-    if base.family not in (BASIC, IMPROVED) or base.source_set != frozenset(members):
-        raise ValueError("lift base must be a basic/improved cut for the same set")
+    if base.family not in (BASIC, IMPROVED):
+        raise ValueError("lift base must be a basic or improved cut")
+    members = set(base.source)
     used_b: set = set()
     pairs: List[Tuple[int, int, float]] = []
     ev = oracle.scratch(members)  # tracks S plus the chosen replacements
@@ -127,16 +123,16 @@ def lift_sic(
 
 def alternative_sic(
     oracle: SubmodularOracle,
-    s_hat: Iterable[int],
     base: Cut,
     x_star: Sequence[float],
     costs: KnapsackSystem,
 ) -> Cut:
     """Adds exchange terms rho_b(S + B - a) * (x_a - x_b) for pairs where the
-    incoming item is no costlier; built on top of a basic or improved cut."""
-    members = set(s_hat)
-    if base.family not in (BASIC, IMPROVED) or base.source_set != frozenset(members):
-        raise ValueError("alternative base must be a basic/improved cut for the same set")
+    incoming item is no costlier; built on top of a basic or improved cut,
+    whose follower set is S."""
+    if base.family not in (BASIC, IMPROVED):
+        raise ValueError("alternative base must be a basic or improved cut")
+    members = set(base.source)
     used_b: set = set()
     pairs: List[Tuple[int, int, float]] = []
     ev = oracle.scratch(members)

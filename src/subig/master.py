@@ -36,7 +36,7 @@ STATUS_OPTIMAL = "optimal"
 STATUS_TIME = "time_limit"
 STATUS_NODES = "node_limit"
 
-_SETTING_RE = re.compile(r"^([BI])(L?)(D?)(A?)(E?)-S([123])$")
+_SETTING_RE = re.compile(r"^[BI]L?D?A?E?-S[123]$")
 # the incremental ladder: each step adds one component, under every strategy
 LADDER_SETTINGS = tuple(
     f"{base}-S{s}" for base in ("B", "I", "IL", "ILD", "ILDA", "ILDAE") for s in "123"
@@ -49,22 +49,20 @@ ALL_SETTINGS = tuple(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    cut_family: str = "improved"            # 'basic' or 'improved'
-    enable_lift: bool = False
-    enable_dominance: bool = False
-    enable_alternative: bool = False
-    enable_enhanced_int_sep: bool = False
-    frac_strategy: str = "S1"
+    """A setting such as 'ILDAE-S2' and the run's limits.  The setting names
+    the cut family (B basic, I improved), the optional components L (lift),
+    D (dominance rows), A (alternative cuts) and E (enhanced integer
+    separation), and the fractional strategy S1-S3."""
+
+    setting: str = "I-S1"
     time_limit: float = 3600.0
     node_limit: Optional[int] = None
 
     def __post_init__(self):
-        if self.cut_family not in ("basic", "improved"):
-            raise ValueError("cut_family must be 'basic' or 'improved'")
-        if self.frac_strategy not in ("S1", "S2", "S3"):
-            raise ValueError("frac_strategy must be one of S1, S2, S3")
+        if not _SETTING_RE.match(self.setting):
+            raise ValueError(f"malformed setting string {self.setting!r}")
         # NaN fails this test too: a NaN deadline would never pass
         if not self.time_limit >= 0.0:
             raise ValueError(f"time limit must be zero or more seconds, got {self.time_limit}")
@@ -72,32 +70,18 @@ class SolverConfig:
             raise ValueError(f"node limit must be zero or more, got {self.node_limit}")
 
     @classmethod
-    def from_setting(cls, setting: str, **overrides) -> "SolverConfig":
-        """Parse strings like 'B-S1' or 'ILDAE-S2'."""
-        m = _SETTING_RE.match(setting.strip())
-        if not m:
-            raise ValueError(f"malformed setting string {setting!r}")
-        fam, lift, dom, alt, enh, s = m.groups()
-        return cls(
-            cut_family="improved" if fam == "I" else "basic",
-            enable_lift=bool(lift),
-            enable_dominance=bool(dom),
-            enable_alternative=bool(alt),
-            enable_enhanced_int_sep=bool(enh),
-            frac_strategy=f"S{s}",
-            **overrides,
-        )
+    def from_setting(cls, setting: str, **limits) -> "SolverConfig":
+        """The config for a setting string, surrounding whitespace ignored."""
+        return cls(setting.strip(), **limits)
 
-    def setting(self) -> str:
-        return (
-            ("I" if self.cut_family == "improved" else "B")
-            + ("L" if self.enable_lift else "")
-            + ("D" if self.enable_dominance else "")
-            + ("A" if self.enable_alternative else "")
-            + ("E" if self.enable_enhanced_int_sep else "")
-            + "-"
-            + self.frac_strategy
-        )
+    # each part of the setting, read off the string, whose only other
+    # capitals are the family letter and the strategy's S
+    cut_family = property(lambda self: "improved" if self.setting[0] == "I" else "basic")
+    enable_lift = property(lambda self: "L" in self.setting)
+    enable_dominance = property(lambda self: "D" in self.setting)
+    enable_alternative = property(lambda self: "A" in self.setting)
+    enable_enhanced_int_sep = property(lambda self: "E" in self.setting)
+    frac_strategy = property(lambda self: self.setting[-2:])
 
 
 @dataclass
@@ -202,10 +186,10 @@ def _build_cuts(
         base = cutgen.basic_sic(oracle, s_hat)
     main = base
     if config.enable_lift:
-        main = cutgen.lift_sic(oracle, s_hat, base, x_star, dominating)
+        main = cutgen.lift_sic(oracle, base, x_star, dominating)
     out = [main]
     if config.enable_alternative:
-        alt = cutgen.alternative_sic(oracle, s_hat, base, x_star, knapsacks)
+        alt = cutgen.alternative_sic(oracle, base, x_star, knapsacks)
         if alt.pairs:
             out.append(alt)
     return out
@@ -419,17 +403,15 @@ class InterdictionSolver:
                     phi_cache=self.phi_cache,
                     deadline=deadline,
                 )
-                if built:
-                    added = sum(self._add_cut(c) for c in built)
-                    if added:
-                        continue
-                    # violated cuts all duplicated existing rows: accept
-                    # at the exact defended value
-                    if phi_val is None:
-                        avail = [i for i in range(self.n) if x_hat[i] == 0.0]
-                        phi_val = follower.solve_sep(
-                            self.oracle, avail, self.knapsacks, deadline=deadline
-                        ).value
+                if sum(self._add_cut(c) for c in built):
+                    continue
+                # no violated cut, or each one duplicated an existing row:
+                # accept at the exact defended value
+                if phi_val is None:
+                    avail = [i for i in range(self.n) if x_hat[i] == 0.0]
+                    phi_val = follower.solve_sep(
+                        self.oracle, avail, self.knapsacks, deadline=deadline
+                    ).value
                 incumbent = (phi_val, tuple(int(v) for v in x_hat))
                 break
             if not frac_done:
@@ -443,10 +425,8 @@ class InterdictionSolver:
                     w_star,
                     xs,
                 )
-                if built:
-                    added = sum(self._add_cut(c) for c in built)
-                    if added:
-                        continue
+                if sum(self._add_cut(c) for c in built):
+                    continue
             pick = min(frac, key=lambda i: (abs(xs[i] - 0.5), i))
             for val in (0, 1):
                 fixings = {**node.fixings, pick: val}

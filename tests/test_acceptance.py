@@ -65,7 +65,7 @@ def test_criterion_1_worked_example_regression():
     improved_b = cuts.improved_sic(borc, {0, 1}, (0, 1))
     ok &= abs(improved_b.c0 - 1.15) <= tol
     ok &= abs(improved_b.g[0] + 0.3) <= tol and abs(improved_b.g[1] + 0.85) <= tol
-    lifted_b = cuts.lift_sic(borc, {0, 1}, improved_b, [0.0, 0.0, 0.0], binst.dominating_lists())
+    lifted_b = cuts.lift_sic(borc, improved_b, [0.0, 0.0, 0.0], binst.dominating_lists())
     ok &= lifted_b.pairs and abs(lifted_b.pairs[0][2] - 0.45) <= tol
     ok &= abs(lifted_b.c0 - 1.6) <= tol and abs(lifted_b.g[2] + 0.45) <= tol
 
@@ -78,10 +78,10 @@ def test_criterion_1_worked_example_regression():
     ok &= abs(imp_12.g[0] + 11.0) <= tol and abs(imp_12.g[1] + 9.0) <= tol
     imp_21 = cuts.improved_sic(worc, {0, 1}, (1, 0))
     ok &= abs(imp_21.g[0] + 6.0) <= tol and abs(imp_21.g[1] + 14.0) <= tol
-    lifted_w = cuts.lift_sic(worc, {0, 1}, imp_12, [0.0, 0.0, 0.0], winst.dominating_lists())
+    lifted_w = cuts.lift_sic(worc, imp_12, [0.0, 0.0, 0.0], winst.dominating_lists())
     ok &= lifted_w.pairs and abs(lifted_w.pairs[0][2] - 4.0) <= tol
     ok &= abs(lifted_w.c0 - 24.0) <= tol and abs(lifted_w.g[2] + 4.0) <= tol
-    alt = cuts.alternative_sic(worc, {0, 1}, imp_12, [0.5, 0.0, 0.0], winst.knapsacks())
+    alt = cuts.alternative_sic(worc, imp_12, [0.5, 0.0, 0.0], winst.knapsacks())
     ok &= alt.pairs == ((0, 2, 10.0),)
     ok &= abs(alt.rhs([1, 0, 0]) - 19.0) <= tol
     ok &= abs(alt.rhs([0, 0, 1]) - 10.0) <= tol
@@ -247,8 +247,8 @@ def test_criterion_3_cut_validity():
             family_cuts = [
                 cuts.basic_sic(oracle, s_hat),
                 base,
-                cuts.lift_sic(oracle, s_hat, base, x_star, dom),
-                cuts.alternative_sic(oracle, s_hat, base, x_star, knap),
+                cuts.lift_sic(oracle, base, x_star, dom),
+                cuts.alternative_sic(oracle, base, x_star, knap),
             ]
             for cut in family_cuts:
                 for x, phi_val in phi_at.items():
@@ -282,7 +282,7 @@ def test_criterion_4_dominance_order_properties():
         ordering = cuts.default_ordering(oracle, s_hat)
         basic = cuts.basic_sic(oracle, s_hat)
         improved = cuts.improved_sic(oracle, s_hat, ordering)
-        lifted = cuts.lift_sic(oracle, s_hat, improved, [0.0] * inst.n, dom)
+        lifted = cuts.lift_sic(oracle, improved, [0.0] * inst.n, dom)
         if lifted.pairs:
             lifted_seen += 1
             if not all(coef > 0 for _, _, coef in lifted.pairs):

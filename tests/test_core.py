@@ -137,6 +137,23 @@ def test_knapsack_validation():
     assert ks.cost_le(0, 1)
 
 
+@pytest.mark.parametrize(
+    "costs, caps, row",
+    [(((1.0, 1.0), (1.0, float("nan"))), (2.0, 2.0), 1),
+     (((1.0, float("inf")),), (2.0,), 0),
+     (((1.0, 1.0),), (float("inf"),), 0),
+     (((1.0, 1.0), (1.0, 1.0)), (2.0, float("nan")), 1),
+     (((1.0, 1.0),), (-1.0,), 0)],
+)
+def test_knapsack_system_rejects_numbers_its_layers_disagree_on(costs, caps, row):
+    """The follower greedy and the follower LP disagreed on these: given an
+    infinite capacity or a NaN or infinite cost the greedy returned a set
+    while the LP refused the row, and a NaN or negative capacity made even
+    the empty seed set infeasible."""
+    with pytest.raises(ValueError, match=f"row {row}: knapsack numbers"):
+        KnapsackSystem(costs=costs, caps=caps)
+
+
 def test_knapsack_system_rejects_zero_rows():
     """With no rows there is no item count; such a system used to build and
     then fail with an IndexError inside the follower greedy."""

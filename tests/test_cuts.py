@@ -56,18 +56,18 @@ def test_default_ordering(cover_example):
 def test_lift_sic_examples(cover_example, bipartite_example):
     worc = cover_example.oracle()
     base = cuts.improved_sic(worc, {0, 1}, (0, 1))
-    lifted = cuts.lift_sic(worc, {0, 1}, base, [0.0, 0.0, 0.0], cover_example.dominating_lists())
+    lifted = cuts.lift_sic(worc, base, [0.0, 0.0, 0.0], cover_example.dominating_lists())
     # + 4 (1 - x_2) folded: constant 24, coefficient -4
     assert lifted.family == "lifted"
     assert lifted.pairs == ((0, 2, 4.0),)
     assert lifted.c0 == 24.0 and lifted.g == {0: -11.0, 1: -9.0, 2: -4.0}
 
-    unchlifted = cuts.lift_sic(worc, {0, 1}, base, [0.0, 0.0, 0.0], {})
+    unchlifted = cuts.lift_sic(worc, base, [0.0, 0.0, 0.0], {})
     assert unchlifted is base
 
     borc = bipartite_example.oracle()
     bbase = cuts.improved_sic(borc, {0, 1}, (0, 1))
-    blift = cuts.lift_sic(borc, {0, 1}, bbase, [0.0, 0.0, 0.0], bipartite_example.dominating_lists())
+    blift = cuts.lift_sic(borc, bbase, [0.0, 0.0, 0.0], bipartite_example.dominating_lists())
     assert len(blift.pairs) == 1
     a, b, coef = blift.pairs[0]
     assert (a, b) == (0, 2)
@@ -78,20 +78,20 @@ def test_lift_sic_examples(cover_example, bipartite_example):
 def test_lift_skips_interdicted_replacements(cover_example):
     worc = cover_example.oracle()
     base = cuts.improved_sic(worc, {0, 1}, (0, 1))
-    lifted = cuts.lift_sic(worc, {0, 1}, base, [0.0, 0.0, 1.0], cover_example.dominating_lists())
+    lifted = cuts.lift_sic(worc, base, [0.0, 0.0, 1.0], cover_example.dominating_lists())
     assert lifted is base  # (1 - x_b) = 0 kills the only candidate pair
 
 
 def test_alternative_sic_example(cover_example):
     worc = cover_example.oracle()
     base = cuts.improved_sic(worc, {0, 1}, (0, 1))
-    alt = cuts.alternative_sic(worc, {0, 1}, base, [0.5, 0.0, 0.0], cover_example.knapsacks())
+    alt = cuts.alternative_sic(worc, base, [0.5, 0.0, 0.0], cover_example.knapsacks())
     assert alt.family == "alternative"
     assert alt.pairs == ((0, 2, 10.0),)
     assert alt.rhs([1, 0, 0]) == pytest.approx(19.0)
     assert alt.rhs([0, 0, 1]) == pytest.approx(10.0)
     # members interdicted nowhere: every spread is non-positive, no pair fits
-    same = cuts.alternative_sic(worc, {0, 1}, base, [0.0, 0.0, 0.7], cover_example.knapsacks())
+    same = cuts.alternative_sic(worc, base, [0.0, 0.0, 0.7], cover_example.knapsacks())
     assert same is base
 
 
@@ -101,7 +101,7 @@ def test_relative_violation(cover_example):
     assert cuts.relative_violation(basic, basic.rhs([0, 1, 0]), [0, 1, 0]) == 0.0
     assert cuts.relative_violation(basic, 0.0, [0, 0, 0]) == pytest.approx(20.0 / 20.1)
     base = cuts.improved_sic(worc, {0, 1}, (0, 1))
-    alt = cuts.alternative_sic(worc, {0, 1}, base, [0.5, 0.0, 0.0], cover_example.knapsacks())
+    alt = cuts.alternative_sic(worc, base, [0.5, 0.0, 0.0], cover_example.knapsacks())
     assert cuts.relative_violation(alt, 15.0, [1, 0, 0]) == pytest.approx(4.0 / 19.1)
     # satisfied cuts read negative
     assert cuts.relative_violation(basic, 25.0, [0, 0, 0]) == pytest.approx(-5.0 / 20.1)
@@ -111,11 +111,11 @@ def test_canonical_folding_is_exact(cover_example):
     """Unfolding (c0, g) must reproduce the term-by-term construction."""
     worc = cover_example.oracle()
     base = cuts.improved_sic(worc, {0, 1}, (0, 1))
-    lifted = cuts.lift_sic(worc, {0, 1}, base, [0.0] * 3, cover_example.dominating_lists())
+    lifted = cuts.lift_sic(worc, base, [0.0] * 3, cover_example.dominating_lists())
     assert lifted.c0 == pytest.approx(base.c0 + sum(c for _, _, c in lifted.pairs), abs=1e-12)
     for _, b, coef in lifted.pairs:
         assert lifted.g[b] == pytest.approx(base.g.get(b, 0.0) - coef, abs=1e-12)
-    alt = cuts.alternative_sic(worc, {0, 1}, base, [0.5, 0.0, 0.0], cover_example.knapsacks())
+    alt = cuts.alternative_sic(worc, base, [0.5, 0.0, 0.0], cover_example.knapsacks())
     assert alt.c0 == base.c0
     for a, b, coef in alt.pairs:
         assert alt.g[a] == pytest.approx(base.g.get(a, 0.0) + coef, abs=1e-12)
@@ -155,8 +155,8 @@ def test_validity_on_small_instances():
             family_cuts = [
                 cuts.basic_sic(orc, s_hat),
                 base,
-                cuts.lift_sic(orc, s_hat, base, x_star, dom),
-                cuts.alternative_sic(orc, s_hat, base, x_star, knap),
+                cuts.lift_sic(orc, base, x_star, dom),
+                cuts.alternative_sic(orc, base, x_star, knap),
             ]
             for cut in family_cuts:
                 for x, phi_val in phi_at.items():

@@ -44,7 +44,7 @@ def test_separate_integer_examples(cover_example, bipartite_example):
     )
     assert len(built) == 1
     assert built[0].c0 == 15.0
-    assert built[0].source_set == {0, 2}
+    assert set(built[0].source) == {0, 2}
     assert phi_val == 15.0  # exact path solves the follower to optimality
 
     built, phi_val = master.separate_integer(
@@ -58,7 +58,7 @@ def test_separate_integer_examples(cover_example, bipartite_example):
     )
     assert len(built) == 1
     assert built[0].c0 == pytest.approx(1.6, abs=1e-9)
-    assert built[0].source_set == {1, 2}
+    assert set(built[0].source) == {1, 2}
 
 
 def test_alternative_cut_at_an_integer_point_has_no_pairs(cover_example, bipartite_example):
@@ -75,7 +75,7 @@ def test_alternative_cut_at_an_integer_point_has_no_pairs(cover_example, biparti
                     continue
                 for base in (cuts.basic_sic(orc, s_hat),
                              cuts.improved_sic(orc, s_hat, cuts.default_ordering(orc, s_hat))):
-                    assert cuts.alternative_sic(orc, s_hat, base, x, knap) is base
+                    assert cuts.alternative_sic(orc, base, x, knap) is base
             built, _ = master.separate_integer(orc, knap, cfg("IA-S1"), -1.0, x, {}, {})
             assert len(built) == 1 and built[0].family == "improved"
 
@@ -114,7 +114,7 @@ def test_separate_integer_enhanced_paths(cover_example, bipartite_example):
     built, _ = master.separate_integer(
         borc, bipartite_example.knapsacks(), cfg("IE-S1"), 0.5, [0, 1, 0], none, {}
     )
-    assert borc.value(built[0].source_set) == pytest.approx(0.98, abs=1e-9)
+    assert borc.value(set(built[0].source)) == pytest.approx(0.98, abs=1e-9)
 
     # greedy stops at 8 < w* = 9 < phi = 10: the cutoff solve finds the cut
     trap = _greedy_trap()
@@ -124,7 +124,7 @@ def test_separate_integer_enhanced_paths(cover_example, bipartite_example):
     built, _ = master.separate_integer(
         torc, trap.knapsacks(), cfg("IE-S1"), 9.0, [0, 0, 0], none, {}
     )
-    assert built[0].source_set == {0, 1} and built[0].c0 == 10.0
+    assert set(built[0].source) == {0, 1} and built[0].c0 == 10.0
 
 
 def test_separate_integer_enhanced_runs_greedy_once(monkeypatch):
@@ -145,6 +145,27 @@ def test_separate_integer_enhanced_runs_greedy_once(monkeypatch):
     )
     assert built[0].c0 == 10.0
     assert len(calls) == 1
+
+
+def test_separate_integer_builds_a_violated_cut_from_the_cache(cover_example, monkeypatch):
+    """A point accepted at one node can come back at another node's LP below
+    its value.  The cut then comes from the cached follower set, with no
+    follower solve; closing that node on its LP bound without the cut could
+    lose a better point in its subtree."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the cached point needs no follower solve")
+
+    monkeypatch.setattr(follower, "solve_sep", no_solve)
+    worc = cover_example.oracle()
+    s_hat = frozenset({0, 2})
+    cache = {frozenset({0, 2}): (15.0, s_hat)}  # x = (0, 1, 0) leaves 0 and 2
+    w_star = 15.0 - 2 * master.VIOL_TOL
+    built, phi_val = master.separate_integer(
+        worc, cover_example.knapsacks(), cfg("I-S1"), w_star, [0, 1, 0], {}, cache
+    )
+    assert len(built) == 1 and set(built[0].source) == s_hat
+    assert built[0].rhs([0, 1, 0]) == 15.0 > w_star
+    assert phi_val == 15.0
 
 
 def test_fractional_candidate_s1(cover_example):
@@ -289,11 +310,29 @@ def test_gap_formula():
 
 def test_config_setting_roundtrip():
     for s in ("B-S1", "I-S2", "ILDAE-S3", "BDA-S1", "ILE-S2"):
-        assert SolverConfig.from_setting(s).setting() == s
+        assert SolverConfig.from_setting(s).setting == s
+    assert SolverConfig.from_setting(" ILE-S2\n").setting == "ILE-S2"
+    assert SolverConfig().setting == "I-S1"
     with pytest.raises(ValueError):
         SolverConfig.from_setting("XQ-S9")
     with pytest.raises(ValueError):
         SolverConfig.from_setting("LID-S1")
+    with pytest.raises(ValueError, match="malformed setting"):
+        SolverConfig(" B-S1")  # only from_setting strips
+
+
+@pytest.mark.parametrize(
+    "setting, parts",
+    [("B-S1", ("basic", False, False, False, False, "S1")),
+     ("ILE-S2", ("improved", True, False, False, True, "S2")),
+     ("BDA-S3", ("basic", False, True, True, False, "S3")),
+     ("ILDAE-S2", ("improved", True, True, True, True, "S2"))],
+)
+def test_config_reads_each_part_of_the_setting(setting, parts):
+    config = SolverConfig.from_setting(setting)
+    assert (config.cut_family, config.enable_lift, config.enable_dominance,
+            config.enable_alternative, config.enable_enhanced_int_sep,
+            config.frac_strategy) == parts
 
 
 def test_bounds_monotone_over_run():
@@ -353,7 +392,7 @@ def test_nan_or_negative_limits_are_rejected(limits, what):
         SolverConfig.from_setting("B-S1", **limits)
     # zero and an infinite time limit stay valid
     for ok in ({"time_limit": 0.0}, {"time_limit": float("inf")}, {"node_limit": 0}):
-        assert SolverConfig.from_setting("B-S1", **ok).setting() == "B-S1"
+        assert SolverConfig.from_setting("B-S1", **ok).setting == "B-S1"
 
 
 def test_time_limit_status():

@@ -31,7 +31,7 @@ def test_settings_sweep_exits_1_on_disagreement(tmp_path, monkeypatch, cover_exa
 
     def skewed(instance, oracle, config):
         res = real_solve(instance, oracle, config)
-        if config.setting() != "ILD-S2":
+        if config.setting != "ILD-S2":
             return res
         if fault == "value":
             return dataclasses.replace(res, value=res.value + 2 * sweep.AGREE_TOL)
@@ -54,7 +54,7 @@ def test_settings_sweep_fails_a_run_that_is_not_optimal(
 
     def stop_one(instance, oracle, config):
         res = real_solve(instance, oracle, config)
-        if stopped and instance.family == "BIIG" and config.setting() == "IL-S2":
+        if stopped and instance.family == "BIIG" and config.setting == "IL-S2":
             return dataclasses.replace(res, status=master.STATUS_TIME)
         return res
 
