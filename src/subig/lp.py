@@ -25,12 +25,14 @@ solve whose fixings were later released has one).
 A solve's deadline, a ``time.monotonic()`` value, is the solver's one time
 check: each pivot reads the clock first and raises ``DeadlineExceeded`` there.
 
-Each pivot factorizes the basis once with LAPACK's ``dgetrf`` and solves
-with ``dgetrs``, bit-identical to ``scipy.linalg.lu_factor`` and
-``lu_solve`` without their per-call finite checks: the ``LpModel``
-constructor rejects NaN bounds, empty ranges and non-finite lower bounds
-and objectives, ``add_row`` and ``solve_lp`` non-finite rows and fixings,
-and ``solve_lp`` raises ``SolverError`` on a non-finite optimum.
+The loop carries the basis matrix's dense inverse, with numpy alone: pi, the
+pivot row and the basic values are products with it, and each pivot updates
+it by one rank-1 product-form step into a new array.  An optimal ``Basis``
+keeps it for later solves, as it is under new fixings and as [[B^-1, 0],
+[-R B^-1, I]] over k new rows, R being those rows over the old basic columns.
+``lu_factor`` refactorizes, after the clock check, at a slack start, every
+``REFACTOR_EVERY`` updates, and when the pivot row (row r of B^-1 A) misses
+1 at the leaving column by more than ``DRIFT_TOL``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 OPT_TOL = 1e-9
 PIVOT_TOL = 1e-10
@@ -49,6 +50,8 @@ REL_PIVOT_TOL = 1e-9  # a pivot below this share of the largest eligible one nea
 PRIMAL_TOL = 1e-9  # a basic value beyond its bound by more is infeasible
 DEGENERATE_LIMIT = 1000
 MAX_ITERATIONS = 100000
+REFACTOR_EVERY = 50  # rank-1 updates of the basis inverse between refactorizations
+DRIFT_TOL = 1e-9  # a pivot row whose entry at the leaving column is farther from 1 refactorizes
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -67,11 +70,13 @@ class DeadlineExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Basis:
-    """An optimal basis: the basic column ids over structurals then slacks,
-    and every column's bound state."""
+    """An optimal basis, never edited, so children share it: the basic column
+    ids, every column's bound state, B^-1 and its rank-1 updates since factorized."""
 
     basic: np.ndarray
     stat: np.ndarray
+    inverse: Optional[np.ndarray]  # None: the next solve refactorizes first
+    updates: int
 
 
 @dataclass
@@ -80,6 +85,7 @@ class LpResult:
     x: np.ndarray
     objective: float
     basis: Optional[Basis] = None  # set on OPTIMAL results
+    iterations: int = 0  # the dual pivots taken
 
 
 class LpModel:
@@ -177,56 +183,47 @@ def solve_lp(
     b = model.rhs
     low = np.concatenate([lb, np.zeros(m)])
     up = np.concatenate([ub, np.full(m, np.inf)])
-    c = np.zeros(n + m)
-    c[:n] = sign * model.obj
+    c = np.concatenate([sign * model.obj, np.zeros(m)])
 
     if basis is None:
-        basic, stat = np.arange(n, n + m), np.full(n + m, _AT_LB)
+        basic, stat, inv, updates = np.arange(n, n + m), np.full(n + m, _AT_LB), None, 0
     else:
-        basic, stat = _grown(basis, n, m)
+        basic, stat, inv, updates = _grown(basis, A, n)
     # a nonbasic column sits at the bound its state names if finite, else at its lower bound
     stat = np.where(np.isfinite(up) & (stat == _AT_UB), _AT_UB, _AT_LB)
     x = np.where(stat == _AT_UB, up, low)
-    status = _simplex(A, b, low, up, c, basic, x, stat, deadline)
+    status, inv, updates, pivots = _simplex(A, b, low, up, c, basic, x, stat, inv, updates, deadline)
     if status == INFEASIBLE:
-        return LpResult(INFEASIBLE, x[:n].copy(), 0.0)
+        return LpResult(INFEASIBLE, x[:n].copy(), 0.0, iterations=pivots)
     obj = sign * float(c @ x)
     if not (math.isfinite(obj) and np.isfinite(x).all()):
         raise SolverError("optimal solution is not finite")
-    kept = Basis(basic.astype(np.int32), stat.astype(np.int8))
-    return LpResult(OPTIMAL, x[:n].copy(), obj, kept)
+    kept = Basis(basic.astype(np.int32), stat.astype(np.int8), inv, updates)
+    return LpResult(OPTIMAL, x[:n].copy(), obj, kept, pivots)
 
 
-def _grown(basis: Basis, n: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The basic ids and bound states of ``basis`` in its model grown to
-    ``m`` rows: each new row's slack is basic."""
-    old_m = basis.basic.size
+def _grown(basis: Basis, A: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The basic ids, bound states, inverse and updates of ``basis`` in its
+    model grown to the rows of ``A``: each new row's slack is basic."""
+    m, old_m = A.shape[0], basis.basic.size
     if basis.stat.size - old_m != n or old_m > m:
         raise ValueError("basis is from another model")
-    basic = np.arange(n, n + m)
-    basic[:old_m] = basis.basic
-    stat = np.full(n + m, _AT_LB)
-    stat[: n + old_m] = basis.stat
-    return basic, stat
+    basic = np.concatenate([basis.basic, np.arange(n + old_m, n + m)])
+    stat = np.concatenate([basis.stat, np.full(m - old_m, _AT_LB)])
+    inv = basis.inverse
+    if m > old_m and inv is not None:
+        inv = np.eye(m)  # [[B^-1, 0], [-R B^-1, I]]
+        inv[:old_m, :old_m] = basis.inverse
+        inv[old_m:, :old_m] = -A[old_m:, basis.basic] @ basis.inverse
+    return basic, stat, inv, basis.updates
 
 
-def lu_factor(B) -> Tuple[np.ndarray, np.ndarray]:
-    """LU factors of a square basis matrix: ``dgetrf``, bit-identical to
-    ``scipy.linalg.lu_factor`` (0-based pivots).  A 0x0 basis, which LAPACK
-    rejects, factors to empty arrays; an exactly singular one raises."""
-    if np.size(B) == 0:
-        return np.empty((0, 0)), np.empty(0, dtype=np.int32)
-    lu, piv, info = dgetrf(B)
-    if info != 0:
-        raise SolverError("singular basis matrix")
-    return lu, piv
-
-
-def lu_solve(lu: Tuple[np.ndarray, np.ndarray], b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """Solve B v = b (``trans=1``: B^T v = b) from ``lu_factor(B)``."""
-    if b.size == 0:
-        return np.empty(0)
-    return dgetrs(lu[0], lu[1], b, trans=trans)[0]
+def lu_factor(B) -> np.ndarray:
+    """B^-1 by numpy's LU solve, the simplex's one refactorization; raises if B is singular."""
+    try:
+        return np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        raise SolverError("singular basis matrix") from None
 
 
 def _wrong_sign(d, movable_nb, at_lb, d_tol) -> np.ndarray:
@@ -235,27 +232,25 @@ def _wrong_sign(d, movable_nb, at_lb, d_tol) -> np.ndarray:
     return movable_nb & np.where(at_lb, d < -d_tol, d > d_tol)
 
 
-def _simplex(A, b, low, up, c, basis, x, stat, deadline) -> str:
-    """In-place bounded dual simplex over equalities A v = b from a basis
-    that bound flips make dual feasible (see the module docstring)."""
-    total = A.shape[1]
-    in_basis = np.zeros(total, dtype=bool)
-    in_basis[basis] = True
+def _simplex(A, b, low, up, c, basis, x, stat, inv, updates, deadline):
+    """In-place bounded dual simplex over A v = b from a basis that bound flips
+    make dual feasible and its inverse after ``updates`` rank-1 updates, or
+    None.  Returns (status, inverse, updates, pivots); see the module docstring."""
     movable = low != up
-    degenerate = 0
+    degenerate = pivots = 0
     bland = False
-    d_tol = OPT_TOL * max(1.0, float(np.max(np.abs(c))) if total else 1.0)
-    unit = np.zeros(A.shape[0])
+    d_tol = OPT_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
     flip_at = 0  # the start, then the pivot after a basis without a violated row
 
     for it in range(MAX_ITERATIONS):
         if time.monotonic() >= deadline:
             raise DeadlineExceeded("the LP reached its deadline")
-        lu = lu_factor(A[:, basis])
-        nb = ~in_basis
+        if inv is None or updates >= REFACTOR_EVERY:
+            inv, updates = lu_factor(A[:, basis]), 0
+        nb = np.ones(c.size, dtype=bool)
+        nb[basis] = False
         at_lb = stat == _AT_LB
-        pi = lu_solve(lu, c[basis], trans=1)
-        d = c - A.T @ pi
+        d = c - (c[basis] @ inv) @ A
         if it == flip_at:
             flip = _wrong_sign(d, nb & movable, at_lb, d_tol)
             if flip.any():  # each wrong-sign column moves to its other bound
@@ -265,14 +260,14 @@ def _simplex(A, b, low, up, c, basis, x, stat, deadline) -> str:
                 stat[flip] = np.where(at_lb[flip], _AT_UB, _AT_LB)
                 at_lb = stat == _AT_LB
         at_ub = ~at_lb
-        xb = lu_solve(lu, b - A[:, nb] @ x[nb])
+        xb = inv @ (b - A[:, nb] @ x[nb])
         x[basis] = xb
         below = low[basis] - xb
         violation = np.maximum(below, xb - up[basis])
         rows = np.flatnonzero(violation > PRIMAL_TOL)
         if rows.size == 0:
             if not _wrong_sign(d, nb & movable, at_lb, d_tol).any():
-                return OPTIMAL
+                return OPTIMAL, inv, updates, pivots
             flip_at = it + 1  # a pivot too small to take left a wrong sign
             continue
 
@@ -284,15 +279,17 @@ def _simplex(A, b, low, up, c, basis, x, stat, deadline) -> str:
 
         # entering column: the least ratio |d_j / alpha_j| over the columns
         # whose move pushes the leaving value toward its bound
-        unit[leave_pos] = 1.0
-        alpha = A.T @ lu_solve(lu, unit, trans=1)
-        unit[leave_pos] = 0.0
+        alpha = inv[leave_pos] @ A
+        out = basis[leave_pos]
+        if updates and abs(alpha[out] - 1.0) > DRIFT_TOL:  # exactly 1 for an exact B^-1
+            inv = None  # the updates drifted: refactorize and price this basis again
+            continue
         push = -alpha if rise else alpha  # move toward its bound per unit rise of column j
         cand = np.flatnonzero(
             nb & movable & ((at_lb & (push > PIVOT_TOL)) | (at_ub & (push < -PIVOT_TOL)))
         )
         if cand.size == 0:
-            return INFEASIBLE
+            return INFEASIBLE, inv, updates, pivots
         piv = np.abs(alpha[cand])
         dual_room = np.where(at_ub[cand], -d[cand], d[cand])
         ratio = np.maximum(dual_room, 0.0) / piv
@@ -304,15 +301,15 @@ def _simplex(A, b, low, up, c, basis, x, stat, deadline) -> str:
             cand = cand[piv == piv.max()]
         enter = int(cand[0])  # the lowest id
 
-        if step < 1e-10:
-            degenerate += 1
-            if degenerate >= DEGENERATE_LIMIT:
-                bland = True
-        out = basis[leave_pos]
+        col = inv @ A[:, enter]
+        degenerate += step < 1e-10
+        bland = degenerate >= DEGENERATE_LIMIT
         x[out] = low[out] if rise else up[out]
         stat[out] = _AT_LB if rise else _AT_UB
-        in_basis[out] = False
-        in_basis[enter] = True
         basis[leave_pos] = enter
+        row = inv[leave_pos] / col[leave_pos]
+        inv = inv - col[:, None] * row  # a new array: a shared Basis keeps its inverse
+        inv[leave_pos] = row
+        updates, pivots = updates + 1, pivots + 1
 
     raise SolverError("iteration limit exceeded")

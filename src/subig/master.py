@@ -7,7 +7,10 @@ candidates are separated exactly through the follower solver; fractional
 points get one heuristic separation round per node (strategies S1/S2/S3).
 Node selection is best-bound, branching is most-fractional.  The root LP
 starts from the slack basis; each later LP starts from the optimal basis of
-the one before it, which a child node inherits from its parent.
+the one before it, which a child node inherits from its parent.  Its basis
+inverse goes along while the open nodes times its size stay within
+``INVERSE_HEAP_BYTES``; past that a child refactorizes when popped, so the
+inverses the open nodes hold stay within about that many bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import itertools
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,6 +34,7 @@ from .lp import Basis, DeadlineExceeded, LpModel, solve_lp, INFEASIBLE
 
 VIOL_TOL = 1e-6
 FRAC_VIOLATION_THRESHOLD = 0.01  # relative violation a fractional cut must exceed
+INVERSE_HEAP_BYTES = 1 << 24  # open nodes times m x m inverse bytes past which children drop it
 
 STATUS_OPTIMAL = "optimal"
 STATUS_TIME = "time_limit"
@@ -343,6 +347,8 @@ class InterdictionSolver:
                 break
             if incumbent is not None and (inc_val is None or incumbent[0] < inc_val - 1e-12):
                 inc_val, inc_x = incumbent
+            if children and len(heap) * basis.inverse.nbytes > INVERSE_HEAP_BYTES:
+                basis = replace(basis, inverse=None)  # refactorized when popped: memory stays bounded
             for fixings in children:
                 heapq.heappush(heap, _Node(bound, next(seq), fixings, basis))
             self.events.append(

@@ -1,5 +1,6 @@
 import itertools
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import List, Sequence
 
 import numpy as np
 import pytest
@@ -34,6 +35,50 @@ class ModularOracle(SubmodularOracle):
         if np.any(self.weights < 0):
             raise ValueError("modular weights must be non-negative")
         self.n = len(self.weights)
+
+
+@dataclass
+class CheckReport:
+    trials: int
+    violations: List[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def check_submodular_monotone(
+    oracle: SubmodularOracle, trials: int, rng_seed: int = 0, tol: float = 1e-9
+) -> CheckReport:
+    """Sample (S subset of T, i outside T) triples and test the two defining
+    inequalities: gains must not grow with the set, values must not shrink."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(rng_seed)
+    report = CheckReport(trials=trials)
+    items = np.arange(oracle.n)
+    for t in range(trials):
+        i = int(rng.integers(oracle.n))
+        rest = items[items != i]
+        in_t = rng.random(len(rest)) < 0.5
+        T = set(rest[in_t].tolist())
+        in_s = rng.random(len(T)) < 0.5
+        S = {x for x, keep in zip(sorted(T), in_s) if keep}
+        g_s = oracle.gain(S, i)
+        g_t = oracle.gain(T, i)
+        if g_s < g_t - tol:
+            report.violations.append(
+                f"trial {t}: gain({sorted(S)},{i})={g_s:.12g} < gain({sorted(T)},{i})={g_t:.12g}"
+            )
+        z_s = oracle.value(S)
+        z_t = oracle.value(T)
+        if z_s > z_t + tol:
+            report.violations.append(
+                f"trial {t}: z({sorted(S)})={z_s:.12g} > z({sorted(T)})={z_t:.12g}"
+            )
+        if g_t < -tol:
+            report.violations.append(f"trial {t}: negative gain {g_t:.12g}")
+    return report
 
 
 @pytest.fixture

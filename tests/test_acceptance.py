@@ -11,11 +11,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from subig import bruteforce, cli, core, cuts, follower, master, problems
+from subig import bruteforce, cli, cuts, follower, master, problems
 from subig.master import SolverConfig
 from subig.problems import BiigInstance, WmcigInstance, gen_biig, gen_wmcig
 
-from conftest import all_binary_vectors, leader_feasible_vectors
+from conftest import all_binary_vectors, check_submodular_monotone, leader_feasible_vectors
 
 WMCIG_TOL = 0.0
 BIIG_TOL = 1e-6
@@ -148,7 +148,7 @@ def _corpus_worker(job):
     for setting in assigned:
         res = master.solve(inst, oracle, SolverConfig.from_setting(setting))
         values[setting] = (res.value, res.status)
-    check = core.check_submodular_monotone(oracle, trials=1000, rng_seed=index)
+    check = check_submodular_monotone(oracle, trials=1000, rng_seed=index)
     return {
         "index": index,
         "kind": kind,

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subig import core
 from subig.core import KnapsackSystem, SubmodularOracle
 from subig.problems import BiigInstance, gen_wmcig
 
-from conftest import ModularOracle, random_knapsack
+from conftest import ModularOracle, check_submodular_monotone, random_knapsack
 
 
 class SquaredSizeOracle(SubmodularOracle):
@@ -78,19 +77,19 @@ def test_oracle_without_value_or_evaluator_says_so():
 
 def test_check_submodular_monotone_passes_on_models():
     inst = gen_wmcig(10, 2, 0.1, seed=1)
-    report = core.check_submodular_monotone(inst.oracle(), trials=1000, rng_seed=1)
+    report = check_submodular_monotone(inst.oracle(), trials=1000, rng_seed=1)
     assert report.ok
-    assert core.check_submodular_monotone(ModularOracle((1, 2, 3)), 200, 0).ok
+    assert check_submodular_monotone(ModularOracle((1, 2, 3)), 200, 0).ok
 
 
 def test_check_submodular_monotone_flags_supermodular():
-    report = core.check_submodular_monotone(SquaredSizeOracle(5), trials=200, rng_seed=3)
+    report = check_submodular_monotone(SquaredSizeOracle(5), trials=200, rng_seed=3)
     assert not report.ok
 
 
 def test_check_requires_positive_trials():
     with pytest.raises(ValueError):
-        core.check_submodular_monotone(ModularOracle((1.0,)), trials=0)
+        check_submodular_monotone(ModularOracle((1.0,)), trials=0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from subig import core, problems
+from subig import problems
 from subig.problems import (
     BiigInstance,
     WmcigInstance,
@@ -15,6 +15,8 @@ from subig.problems import (
     parse_instance,
     write_instance,
 )
+
+from conftest import check_submodular_monotone
 
 
 def test_oracle_examples(cover_example, bipartite_example):
@@ -99,7 +101,7 @@ def test_gen_wmcig_params_and_determinism():
 
 def test_gen_wmcig_is_submodular_monotone():
     inst = gen_wmcig(12, 2, 0.1, seed=3)
-    assert core.check_submodular_monotone(inst.oracle(), 500, 0).ok
+    assert check_submodular_monotone(inst.oracle(), 500, 0).ok
 
 
 def test_gen_biig_params_and_determinism():
