@@ -64,7 +64,6 @@ class SubmodularOracle:
 
     def __init__(self):
         self._rho_empty: np.ndarray | None = None
-        self._rho_full: np.ndarray | None = None
 
     def scratch(self, items: Iterable[int] = ()) -> Evaluator:
         """A fresh evaluator holding ``items``, added in ascending order."""
@@ -106,18 +105,6 @@ class SubmodularOracle:
             self._rho_empty = np.array([ev.gain(i) for i in range(self.n)])
         return self._rho_empty
 
-    def rho_full_complement(self) -> np.ndarray:
-        """Per-item gains over the full ground set minus the item, cached."""
-        if self._rho_full is None:
-            ev = self.scratch(range(self.n))
-            out = np.empty(self.n)
-            for i in range(self.n):
-                ev.remove(i)
-                out[i] = ev.gain(i)
-                ev.add(i)
-            self._rho_full = out
-        return self._rho_full
-
 
 @dataclass(frozen=True)
 class KnapsackSystem:
@@ -139,7 +126,7 @@ class KnapsackSystem:
         for r, (row, cap) in enumerate(zip(self.costs, self.caps)):
             if len(row) != self.n:
                 raise ValueError("every cost row needs one entry per item")
-            # NaN fails this test too; the follower's greedy and LP disagree on NaN or inf
+            # NaN fails this test too; fit tests and the follower's bound need finite numbers
             if not all(0.0 <= c < math.inf for c in (*row, cap)):
                 raise ValueError(f"row {r}: knapsack numbers must be finite and non-negative")
         matrix = np.array(self.costs, dtype=float).reshape(len(self.caps), self.n)

@@ -1,12 +1,13 @@
-"""Follower-side maximization: greedy, exact branch-and-cut, and separation.
+"""Follower-side maximization: greedy, exact branch-and-bound, and value.
 
-The exact solver maximizes theta subject to knapsack rows and lazily added
-submodular bounding rows (two per generating set: one anchored at full-set
-complements, one at within-set prefixes).  Nodes are explored depth-first so
-that, in cutoff mode, an improving feasible solution surfaces quickly.  Only
-the first LP of a call starts from the slack basis: each later LP, after a
-cut round or in a child node, starts from the last optimal basis of its node
-or of its parent, which added rows and fixings keep dual feasible.
+The exact solver searches over items depth-first from the greedy set, with
+no LP.  A node holds the chosen set S and the items not yet chosen or
+excluded; of those, the ones that still fit are open.  The node's bound is
+z(S) plus, for the tightest knapsack row, the fractional-knapsack value of
+the open items' gains over S (Nemhauser and Wolsey, 1981: z(S ∪ T) <= z(S)
++ sum_{i in T} rho_i(S)).  It branches on the open item of largest gain,
+inclusion first, so that in cutoff mode an improving solution surfaces
+quickly.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import KnapsackSystem, SubmodularOracle
-from .lp import Basis, LpModel, solve_lp, INFEASIBLE
+from .core import Evaluator, KnapsackSystem, SubmodularOracle
+from .lp import check_deadline
 
 OPTIMAL = "optimal"
 CUTOFF_EXCEEDED = "cutoff_exceeded"
@@ -86,40 +87,23 @@ def greedy(
     return frozenset(current), tuple(order)
 
 
-def bounding_rows(
-    oracle: SubmodularOracle,
-    available: Sequence[int],
-    s_hat: Iterable[int],
-) -> List[Tuple[Dict[int, float], float]]:
-    """The two submodular upper-bound rows anchored at s_hat, each returned as
-    (coefs, rhs) meaning  theta <= rhs + sum_i coefs[i] * y_i.
-
-    Row one charges leavers at their full-ground complement gains (computed
-    once per instance and valid for any availability); row two uses empty-set
-    gains for entrants and within-set complement gains for leavers.
-    """
-    rho_full = oracle.rho_full_complement()
-    rho0 = oracle.rho_empty()
-    sset = set(s_hat)
-    ev = oracle.scratch(sset)
-    z_s = float(ev.value)
-    gains_out = {i: float(ev.gain(i)) for i in available if i not in sset}
-    gains_in = {}
-    for i in sorted(sset):
-        ev.remove(i)
-        gains_in[i] = float(ev.gain(i))
-        ev.add(i)
-    row1 = dict(gains_out)
-    rhs1 = z_s
-    for i in sset:
-        row1[i] = float(rho_full[i])
-        rhs1 -= float(rho_full[i])
-    row2 = {i: float(rho0[i]) for i in gains_out}
-    rhs2 = z_s
-    for i in sset:
-        row2[i] = gains_in[i]
-        rhs2 -= gains_in[i]
-    return [(row1, rhs1), (row2, rhs2)]
+def _bound(
+    ev: Evaluator, open_items: np.ndarray, gains: np.ndarray, knapsacks: KnapsackSystem,
+    weight: np.ndarray,
+) -> float:
+    """An upper bound on z(S ∪ T), S the evaluator's set of this weight, over
+    every T of ``open_items`` that fits with it: z(S) plus the least, over
+    the knapsack rows, of the fractional-knapsack value of the gains within
+    the row's room, since z(S ∪ T) <= z(S) + sum_{i in T} rho_i(S).  An item
+    that costs nothing in a row counts in full there."""
+    costs = knapsacks._matrix[:, open_items]
+    room = knapsacks._limits - weight  # the slack of ``fits``
+    ratio = np.divide(gains, costs, out=np.full(costs.shape, np.inf), where=costs > 0.0)
+    order = np.argsort(-ratio, axis=1, kind="stable")
+    costs = np.take_along_axis(costs, order, axis=1)
+    before = np.cumsum(costs, axis=1) - costs  # room the better items take first
+    share = np.divide(room[:, None] - before, costs, out=np.ones(costs.shape), where=costs > 0.0)
+    return ev.value + float((np.clip(share, 0.0, 1.0) * gains[order]).sum(axis=1).min())
 
 
 def solve_sep(
@@ -129,13 +113,14 @@ def solve_sep(
     cutoff: float | None = None,
     deadline: float = math.inf,
 ) -> SepResult:
-    """Exact follower optimum over the available items via branch-and-cut.
+    """Exact follower optimum over the available items by depth-first
+    branch-and-bound from the greedy set.
 
     With a cutoff, returns as soon as some feasible solution's value exceeds
     it (status ``cutoff_exceeded``), the greedy start first; the value is then a
     lower bound on the true optimum, which is all the enhanced separation
-    needs.  ``deadline``, a ``time.monotonic()`` value, goes to every LP:
-    ``lp.DeadlineExceeded`` comes from the first pivot that reaches it.
+    needs.  ``deadline``, a ``time.monotonic()`` value, is checked at every
+    node by ``lp.check_deadline``, which raises ``lp.DeadlineExceeded``.
     """
     _check_size(oracle, knapsacks)
     items = sorted(set(available))
@@ -143,82 +128,35 @@ def solve_sep(
         oracle.check_item(i)
     if not items:
         return SepResult(frozenset(), 0.0, OPTIMAL)
-    ub_theta = oracle.value(items)  # monotonicity: no subset beats the full set
     inc_set, _ = greedy(oracle, items, knapsacks=knapsacks)
     inc_val = oracle.value(inc_set)
     if cutoff is not None and inc_val > cutoff:
         return SepResult(inc_set, inc_val, CUTOFF_EXCEEDED)
 
-    # columns: y_i for each item in [0, 1], then the objective theta
-    ycol = {i: col for col, i in enumerate(items)}
-    theta = len(items)
-    ub = np.append(np.ones(theta), ub_theta)
-    model = LpModel(np.zeros(theta + 1), ub, np.append(np.zeros(theta), 1.0), "max")
-    caps = knapsacks.caps
-    for ell in range(knapsacks.L):
-        coefs = {ycol[i]: knapsacks.costs[ell][i] for i in items if knapsacks.costs[ell][i] != 0.0}
-        if coefs:
-            model.add_row(coefs, caps[ell])
-
-    def add_rows_for(s_hat: Sequence[int], theta_star: float, y_star: Dict[int, float]) -> int:
-        """Bounding rows anchored at s_hat; returns how many were new and
-        violated at (theta*, y*)."""
-        added = 0
-        for coefs, rhs in bounding_rows(oracle, items, s_hat):
-            lhs = theta_star - sum(c * y_star[i] for i, c in coefs.items())
-            if lhs > rhs + 1e-7:
-                row = {ycol[i]: -c for i, c in coefs.items()}
-                row[theta] = 1.0
-                added += model.add_row(row, rhs)
-        return added
-
-    # each node: its fixings and its parent's last optimal basis
-    stack: List[Tuple[Dict[int, int], Optional[Basis]]] = [({}, None)]
+    allowed = np.zeros(oracle.n, dtype=bool)
+    allowed[items] = True
+    # each node: its chosen set and the items not yet chosen or excluded
+    stack: List[Tuple[Tuple[int, ...], np.ndarray]] = [((), allowed)]
     while stack:
-        fixings, basis = stack.pop()
-        fixed = {ycol[i]: float(v) for i, v in fixings.items()}
-        while True:
-            res = solve_lp(model, fixed, basis, deadline)
-            if res.status == INFEASIBLE or res.objective <= inc_val + 1e-9:
-                break
-            basis = res.basis
-            y_star = {i: res.x[ycol[i]] for i in items}
-            theta_star = res.x[theta]
-            frac = [i for i in items if INT_TOL < y_star[i] < 1.0 - INT_TOL]
-            if not frac:
-                s_hat = [i for i in items if y_star[i] > 0.5]
-                z_s = oracle.scratch(s_hat).value
-                overrated = theta_star > z_s + INT_TOL
-                if overrated and add_rows_for(s_hat, theta_star, y_star) > 0:
-                    continue
-                if z_s > inc_val + 1e-12:
-                    inc_val = z_s
-                    inc_set = frozenset(s_hat)
-                    if cutoff is not None and inc_val > cutoff:
-                        return SepResult(inc_set, inc_val, CUTOFF_EXCEEDED)
-                if not overrated or len(fixings) == len(items):
-                    break
-                # the rows cut theta* off no further, so z(S) may not be the
-                # node's optimum: branch on the lowest unfixed id
-                pick = next(i for i in items if i not in fixings)
-            else:
-                # heuristic generating set: prefix by decreasing y*, stop once
-                # a knapsack row first breaks (prefix kept as-is)
-                order = sorted(items, key=lambda i: (-y_star[i], i))
-                prefix: List[int] = []
-                weight = np.zeros(knapsacks.L)
-                for i in order:
-                    prefix.append(i)
-                    weight += knapsacks.item_cost(i)
-                    if not knapsacks.fits_weight(weight):
-                        break
-                if add_rows_for(prefix, theta_star, y_star) > 0:
-                    continue
-                # branch on the most fractional variable
-                pick = min(frac, key=lambda i: (abs(y_star[i] - 0.5), i))
-            stack.append(({**fixings, pick: 0}, basis))
-            stack.append(({**fixings, pick: 1}, basis))  # explore inclusion first
-            break
+        check_deadline(deadline)
+        chosen, allowed = stack.pop()
+        ev = oracle.scratch(chosen)
+        if ev.value > inc_val + 1e-12:
+            inc_set, inc_val = frozenset(chosen), ev.value
+            if cutoff is not None and inc_val > cutoff:
+                return SepResult(inc_set, inc_val, CUTOFF_EXCEEDED)
+        weight = knapsacks.weight(chosen)
+        open_items = np.flatnonzero(allowed & knapsacks.fitting(weight))
+        if open_items.size == 0:
+            continue
+        gains = np.array([ev.gain(i) for i in open_items.tolist()])
+        if _bound(ev, open_items, gains, knapsacks, weight) <= inc_val + 1e-9:
+            continue
+        pick = int(open_items[np.argmax(gains)])  # the largest gain, ties to the lowest id
+        rest = allowed.copy()
+        rest[pick] = False
+        stack.append((chosen, rest))
+        stack.append((chosen + (pick,), rest))  # explore inclusion first
     return SepResult(inc_set, inc_val, OPTIMAL)
 
 

@@ -22,8 +22,9 @@ switch to smallest-index rules; runs are deterministic.  A wrong-sign
 column without an upper bound raises ``SolverError`` (only a basis from a
 solve whose fixings were later released has one).
 
-A solve's deadline, a ``time.monotonic()`` value, is the solver's one time
-check: each pivot reads the clock first and raises ``DeadlineExceeded`` there.
+A solve's deadline, a ``time.monotonic()`` value, goes to ``check_deadline``,
+the solver's one time check: each pivot calls it first, as does each node
+of the follower's search, and it raises ``DeadlineExceeded`` there.
 
 The loop carries the basis matrix's dense inverse, with numpy alone: pi, the
 pivot row and the basic values are products with it, and each pivot updates
@@ -65,7 +66,7 @@ class SolverError(RuntimeError):
 
 
 class DeadlineExceeded(RuntimeError):
-    """Raised at a pivot once the solve's deadline is reached."""
+    """Raised at a pivot or a follower search node once the deadline is reached."""
 
 
 @dataclass(frozen=True)
@@ -232,6 +233,15 @@ def _wrong_sign(d, movable_nb, at_lb, d_tol) -> np.ndarray:
     return movable_nb & np.where(at_lb, d < -d_tol, d > d_tol)
 
 
+def check_deadline(deadline: float) -> None:
+    """The one clock check: raise ``DeadlineExceeded`` once ``time.monotonic()``
+    reaches ``deadline``, and ``ValueError`` on a NaN one, which it never would."""
+    if math.isnan(deadline):
+        raise ValueError("deadline must not be NaN")
+    if time.monotonic() >= deadline:
+        raise DeadlineExceeded("the deadline was reached")
+
+
 def _simplex(A, b, low, up, c, basis, x, stat, inv, updates, deadline):
     """In-place bounded dual simplex over A v = b from a basis that bound flips
     make dual feasible and its inverse after ``updates`` rank-1 updates, or
@@ -243,8 +253,7 @@ def _simplex(A, b, low, up, c, basis, x, stat, inv, updates, deadline):
     flip_at = 0  # the start, then the pivot after a basis without a violated row
 
     for it in range(MAX_ITERATIONS):
-        if time.monotonic() >= deadline:
-            raise DeadlineExceeded("the LP reached its deadline")
+        check_deadline(deadline)
         if inv is None or updates >= REFACTOR_EVERY:
             inv, updates = lu_factor(A[:, basis]), 0
         nb = np.ones(c.size, dtype=bool)

@@ -45,6 +45,11 @@ def test_marginal_gain_examples(cover_example, bipartite_example):
     assert worc.gain({0, 1}, 2) == 4.0
 
 
+def _complement_gains(orc):
+    """Per item: its gain over the rest of the ground set."""
+    return [orc.gain(set(range(orc.n)) - {i}, i) for i in range(orc.n)]
+
+
 def test_rho_maps(cover_example, bipartite_example):
     borc = bipartite_example.oracle()
     assert borc.rho_empty().tolist() == pytest.approx([0.3, 1.0, 0.8], abs=1e-12)
@@ -53,11 +58,11 @@ def test_rho_maps(cover_example, bipartite_example):
     weights = (2.0, 0.0, 7.5)
     mod = ModularOracle(weights)
     assert mod.rho_empty().tolist() == list(weights)
-    assert mod.rho_full_complement().tolist() == list(weights)
+    assert _complement_gains(mod) == list(weights)
     # complement gains never exceed empty-set gains and stay non-negative
     for orc in (worc, borc):
         r0 = orc.rho_empty()
-        rf = orc.rho_full_complement()
+        rf = _complement_gains(orc)
         for i in range(orc.n):
             assert -1e-12 <= rf[i] <= r0[i] + 1e-12
 

@@ -12,6 +12,8 @@ from subig.core import KnapsackSystem
 from subig.follower import CUTOFF_EXCEEDED, OPTIMAL
 from subig.problems import gen_biig, gen_wmcig
 
+from conftest import random_knapsack
+
 
 def test_greedy_examples(cover_example, bipartite_example):
     worc = cover_example.oracle()
@@ -145,7 +147,9 @@ def test_phi_examples(cover_example, bipartite_example):
 
 def _sep_corpus():
     """(oracle, available items, knapsacks, tolerance against brute force)
-    for 30 random WMCIG and BIIG followers."""
+    for 30 random WMCIG and BIIG followers under their own budgets, then 40
+    under 1-3 row knapsacks of quarter-unit costs, zeros included, so that
+    an item may cost nothing in some row and count in full in its bound."""
     rng = np.random.default_rng(3)
     for trial in range(30):
         if trial % 2 == 0:
@@ -161,15 +165,16 @@ def _sep_corpus():
         knap = inst.knapsacks()
         mask = [i for i in range(orc.n) if rng.random() < 0.8]
         yield orc, mask, knap, tol
-
-
-def _two_row_case():
-    """A BIIG follower under two knapsack rows of quarter-unit costs."""
-    rng = np.random.default_rng(11)
-    orc = gen_biig(9, 2, 3, 2, 0.25, 501).oracle()
-    costs = tuple(tuple(float(c) / 4 for c in rng.integers(1, 20, orc.n)) for _ in range(2))
-    knap = KnapsackSystem(costs=costs, caps=tuple(0.35 * sum(row) for row in costs))
-    return orc, list(range(orc.n)), knap
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        if trial % 2 == 0:
+            orc = gen_wmcig(int(rng.integers(6, 11)), 2, 0.2, int(rng.integers(10_000))).oracle()
+            tol = 0.0
+        else:
+            orc = gen_biig(int(rng.integers(6, 11)), 2, 3, 2, 0.25, int(rng.integers(10_000))).oracle()
+            tol = 1e-9
+        knap = random_knapsack(rng, orc.n)
+        yield orc, [i for i in range(orc.n) if rng.random() < 0.8], knap, tol
 
 
 def test_sep_matches_brute_force_on_random_instances():
@@ -178,112 +183,81 @@ def test_sep_matches_brute_force_on_random_instances():
         ref = brute_force_phi(orc, mask, knap)
         assert res.status == OPTIMAL
         assert abs(res.value - ref) <= tol
+        assert res.value == orc.value(res.items) and knap.fits(res.items)
+        assert res.items <= set(mask)
 
 
-def test_warm_started_lps_give_the_cold_value(monkeypatch):
-    """Each LP after a call's first starts from the last basis of its node
-    or of its parent; every value must equal that of a run whose LPs all
-    start cold, and brute force."""
-    cases = [*_sep_corpus(), (*_two_row_case(), 1e-9)]
-    warm = [follower.solve_sep(orc, mask, knap).value for orc, mask, knap, _ in cases]
-    solve_lp = follower.solve_lp
-    bases = []
+def test_node_bound_is_never_below_the_best_extension(monkeypatch):
+    """At every node the search bounds, no set of its open items that fits
+    with its chosen set has a larger value than the bound."""
+    bound = follower._bound
+    nodes = []
 
-    def cold_solve_lp(model, fixed, basis, deadline):
-        bases.append(basis)
-        return solve_lp(model, fixed, None, deadline)
+    def recorded_bound(ev, open_items, gains, knapsacks, weight):
+        value = bound(ev, open_items, gains, knapsacks, weight)
+        nodes.append((frozenset(ev.members), open_items.tolist(), value))
+        return value
 
-    monkeypatch.setattr(follower, "solve_lp", cold_solve_lp)
-    for (orc, mask, knap, tol), value in zip(cases, warm):
-        res = follower.solve_sep(orc, mask, knap)
-        assert res.status == OPTIMAL
-        assert res.value == pytest.approx(value, abs=1e-9)
-        assert abs(res.value - brute_force_phi(orc, mask, knap)) <= tol
-    assert any(b is not None for b in bases)  # the follower hands bases on
-
-
-def test_warm_start_takes_fewer_factorizations(monkeypatch):
-    orc, avail, knap = _two_row_case()
-    lu_factor = lp.lu_factor
-    calls = [0]
-
-    def counted_lu_factor(B):
-        calls[0] += 1
-        return lu_factor(B)
-
-    monkeypatch.setattr(lp, "lu_factor", counted_lu_factor)
-    warm = follower.solve_sep(orc, avail, knap)
-    warm_calls, calls[0] = calls[0], 0
-    solve_lp = follower.solve_lp
-    monkeypatch.setattr(
-        follower, "solve_lp",
-        lambda model, fixed, basis, deadline: solve_lp(model, fixed, None, deadline),
-    )
-    cold = follower.solve_sep(orc, avail, knap)
-    assert warm.value == pytest.approx(cold.value, abs=1e-9)
-    assert 0 < warm_calls < calls[0]
-
-
-def test_follower_lps_pivot_little_from_their_warm_starts(monkeypatch):
-    """On the follower-query benchmark's instance, under five seeded
-    interdictions of B items, the follower LPs take 4.3 pivots each, against
-    97 when every LP starts from the slack basis."""
-    inst = gen_wmcig(40, 2, 0.1, 12)
-    orc, knap = inst.oracle(), inst.knapsacks()
-    rng = np.random.default_rng(0)
-    solve_lp, pivots = follower.solve_lp, []
-
-    def counted_solve_lp(model, fixed, basis, deadline):
-        res = solve_lp(model, fixed, basis, deadline)
-        pivots.append(res.iterations)
-        return res
-
-    monkeypatch.setattr(follower, "solve_lp", counted_solve_lp)
-    for _ in range(5):
-        removed = rng.choice(orc.n, inst.B, replace=False)
-        follower.phi(orc, np.isin(np.arange(orc.n), removed).astype(float), knap)
-    assert sum(pivots) < 10 * len(pivots)
+    monkeypatch.setattr(follower, "_bound", recorded_bound)
+    rng = np.random.default_rng(5)
+    checked = 0
+    for trial in range(12):
+        if trial % 2 == 0:
+            orc = gen_wmcig(8, 2, 0.25, 300 + trial).oracle()
+        else:
+            orc = gen_biig(8, 2, 3, 2, 0.3, 300 + trial).oracle()
+        knap = random_knapsack(rng, orc.n)
+        nodes.clear()
+        follower.solve_sep(orc, range(orc.n), knap)
+        for chosen, open_items, value in nodes:
+            best = max(
+                orc.value(chosen.union(extra))
+                for size in range(len(open_items) + 1)
+                for extra in itertools.combinations(open_items, size)
+                if knap.fits(chosen.union(extra))
+            )
+            assert best <= value + 1e-9
+        checked += len(nodes)
+    assert checked > 50
 
 
 def test_time_budget_is_checked_before_every_lp(monkeypatch):
-    """Each LP here takes 10 s of a fake clock.  The root of this instance
-    takes two cut rounds, and once the first LP has passed the deadline at
-    5 s the second raises at its first pivot, before it factorizes."""
+    """The search reads the clock once per node, before the node builds its
+    evaluator.  Each read here moves a fake clock 10 s, so under a deadline
+    at 25 s the fourth node's read, at 30 s, raises before that node does
+    anything."""
     inst = gen_wmcig(20, 2, 0.2, 1)
     orc, knap = inst.oracle(), inst.knapsacks()
-    now = [0.0]
-    fixings = []
-    factorizations = []
-    solve_lp = follower.solve_lp
-    lu_factor = lp.lu_factor
+    now, events = [0.0], []
 
-    def slow_solve_lp(model, fixed, basis, deadline):
-        res = solve_lp(model, fixed, basis, deadline)
-        fixings.append((dict(fixed), len(factorizations)))
+    def clock():
+        events.append("read")
         now[0] += 10.0
-        return res
+        return now[0] - 10.0
 
-    def counting_lu_factor(B):
-        factorizations.append(B.shape[0])
-        return lu_factor(B)
+    scratch = orc.scratch
 
-    monkeypatch.setattr(follower, "solve_lp", slow_solve_lp)
-    monkeypatch.setattr(lp, "time", SimpleNamespace(monotonic=lambda: now[0]))
-    monkeypatch.setattr(lp, "lu_factor", counting_lu_factor)
+    def logged_scratch(items=()):
+        events.append("scratch")
+        return scratch(items)
+
+    monkeypatch.setattr(lp, "time", SimpleNamespace(monotonic=clock))
+    monkeypatch.setattr(orc, "scratch", logged_scratch)
     assert follower.solve_sep(orc, range(orc.n), knap).status == OPTIMAL
-    assert [f for f, _ in fixings[:2]] == [{}, {}]  # two LPs at the root
-    fixings.clear()
-    factorizations.clear()
+    nodes = events.count("read")
+    # the greedy start and its value, then one read and one evaluator per node
+    assert nodes > 4 and events == ["scratch"] * 2 + ["read", "scratch"] * nodes
+    events.clear()
     now[0] = 0.0
     with pytest.raises(lp.DeadlineExceeded):
-        follower.solve_sep(orc, range(orc.n), knap, deadline=5.0)
-    assert fixings == [({}, len(factorizations))]  # the second LP factorized nothing
+        follower.solve_sep(orc, range(orc.n), knap, deadline=25.0)
+    assert events == ["scratch"] * 2 + ["read", "scratch"] * 3 + ["read"]
 
 
 def test_phi_raises_once_its_lp_outlives_the_budget(monkeypatch):
-    """A fake clock moves 1 s at each read.  Unlimited, this query's LPs
-    read it more than 5 times; under a 5 s budget the LP that reaches the
-    deadline raises at that read, not later."""
+    """A fake clock moves 1 s at each read.  Unlimited, this query's search
+    reads it at each of its 5 nodes; under a 3 s budget the node that
+    reaches the deadline raises at its read, and no later node reads."""
     inst = gen_wmcig(20, 2, 0.2, 1)
     orc, knap = inst.oracle(), inst.knapsacks()
     x = [0.0] * orc.n
@@ -296,44 +270,75 @@ def test_phi_raises_once_its_lp_outlives_the_budget(monkeypatch):
     monkeypatch.setattr(lp, "time", SimpleNamespace(monotonic=tick))
     monkeypatch.setattr(follower, "time", SimpleNamespace(monotonic=tick))
     value = follower.phi(orc, x, knap)
-    assert now[0] > 5.0
+    assert now[0] == 5.0
     now[0] = 0.0
     with pytest.raises(lp.DeadlineExceeded):
-        follower.phi(orc, x, knap, time_budget=5.0)
-    assert now[0] == 6.0  # the budget's start at 1 s, then five LP reads
+        follower.phi(orc, x, knap, time_budget=3.0)
+    assert now[0] == 4.0  # the budget's start at 1 s, then three node reads
     assert follower.phi(orc, x, knap, time_budget=math.inf) == value
 
 
-def test_integer_point_the_rows_cannot_cut_is_branched_on(monkeypatch):
-    """With no bounding rows, every integer LP point overrates z(S).  The
-    node records z(S) and branches; closing it on z(S) returned 11.08477
-    here, against the optimum 11.18166."""
-    inst = gen_biig(10, 2, 3, 2, 0.3, 2)
+def test_cutoff_returns_at_the_first_value_above_it(monkeypatch):
+    """A cutoff below the greedy value returns the greedy set before any
+    node; one between the greedy value (469) and the optimum (482) returns
+    at the first node above it, before the search ends."""
+    inst = gen_wmcig(20, 2, 0.2, 25)
     orc, knap = inst.oracle(), inst.knapsacks()
-    avail = [0, 1, 2, 4, 5, 6, 7, 9]
-    monkeypatch.setattr(follower, "bounding_rows", lambda *args: [])
-    res = follower.solve_sep(orc, avail, knap)
-    assert res.status == OPTIMAL
-    assert res.value == pytest.approx(brute_force_phi(orc, avail, knap), abs=1e-9)
+    reads = []
+    monkeypatch.setattr(lp, "time", SimpleNamespace(monotonic=lambda: reads.append(None) or 0.0))
+    start, _ = follower.greedy(orc, range(orc.n), knap)
+    res = follower.solve_sep(orc, range(orc.n), knap, cutoff=orc.value(start) - 1.0)
+    assert res.status == CUTOFF_EXCEEDED and res.items == start and reads == []
+    assert follower.solve_sep(orc, range(orc.n), knap).value == 482.0
+    nodes = len(reads)
+    reads.clear()
+    res = follower.solve_sep(orc, range(orc.n), knap, cutoff=470.0)
+    assert res.status == CUTOFF_EXCEEDED and res.value > 470.0
     assert res.value == orc.value(res.items) and knap.fits(res.items)
+    assert 0 < len(reads) < nodes
 
 
-def test_bounding_rows_hold_for_every_feasible_set():
-    inst = gen_biig(6, 2, 3, 2, 0.3, 17)
-    orc = inst.oracle()
-    knap = inst.knapsacks()
-    avail = [0, 1, 2, 4, 5]
-    anchor_sets = [set(), {0}, {1, 2}, {0, 4, 5}, set(avail)]
-    for s_hat in anchor_sets:
-        rows = follower.bounding_rows(orc, avail, s_hat)
-        for size in range(0, 4):
-            for combo in itertools.combinations(avail, size):
-                if not knap.fits(combo):
-                    continue
-                z = orc.value(combo)
-                y = {i: 1.0 if i in combo else 0.0 for i in avail}
-                for coefs, rhs in rows:
-                    assert z <= rhs + sum(c * y[i] for i, c in coefs.items()) + 1e-9
+def test_follower_search_takes_few_nodes(monkeypatch):
+    """On the follower-query benchmark's instance, under five seeded
+    interdictions of B items, the search takes 29, 15, 25, 15 and 29 nodes.
+    Counted as reads of a fake clock, one per node.  With the knapsack term
+    dropped from the bound (every open item's gain counted in full), the
+    same queries took 177,265 nodes in all."""
+    inst = gen_wmcig(40, 2, 0.1, 12)
+    orc, knap = inst.oracle(), inst.knapsacks()
+    rng = np.random.default_rng(0)
+    reads = []
+    monkeypatch.setattr(lp, "time", SimpleNamespace(monotonic=lambda: reads.append(None) or 0.0))
+    for _ in range(5):
+        removed = rng.choice(orc.n, inst.B, replace=False)
+        follower.phi(orc, np.isin(np.arange(orc.n), removed).astype(float), knap)
+    assert len(reads) < 40 * 5
+
+
+def test_query_that_broke_the_follower_lp_ends(monkeypatch):
+    """The follower's LP branch-and-cut raised SolverError ("singular basis
+    matrix") on this query at the 41,350th read of a clock.  Under a budget
+    of 42,000 reads of a fake clock, the search ends with a value or at its
+    deadline."""
+    inst = gen_wmcig(100, 2, 0.1, 1)
+    orc, knap = inst.oracle(), inst.knapsacks()
+    x = np.zeros(orc.n)
+    x[[5, 33, 38, 49, 51, 53, 61, 62, 65, 97]] = 1.0
+    reads = []
+
+    def tick():
+        reads.append(None)
+        return float(len(reads))
+
+    monkeypatch.setattr(lp, "time", SimpleNamespace(monotonic=tick))
+    monkeypatch.setattr(follower, "time", SimpleNamespace(monotonic=lambda: 0.0))
+    start, _ = follower.greedy(orc, np.flatnonzero(x == 0.0), knap)
+    try:
+        value = follower.phi(orc, x, knap, time_budget=42_000.0)
+    except lp.DeadlineExceeded:
+        assert len(reads) == 42_000
+    else:
+        assert value >= orc.value(start)
 
 
 def test_greedy_value_within_classical_band():

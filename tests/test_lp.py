@@ -201,11 +201,11 @@ def test_wrong_sign_at_a_feasible_basis_flips_to_the_optimum():
 
 
 def test_dual_degenerate_flipped_start_reaches_the_optimum():
-    # a cold follower LP with bounding rows: every y_j costs 0, so after
-    # theta flips to its upper bound the ratio test ties at 0 on each
-    # pivot; without the relative pivot tolerance a column with |alpha_j|
-    # of 4.7e-10 (the largest eligible was 1.8e4) entered and the next
-    # basis was singular
+    # a cold LP of the former follower branch-and-cut, with its bounding
+    # rows: every y_j costs 0, so after theta flips to its upper bound the
+    # ratio test ties at 0 on each pivot; without the relative pivot
+    # tolerance a column with |alpha_j| of 4.7e-10 (the largest eligible
+    # was 1.8e4) entered and the next basis was singular
     rows = [
         [1, 1, 1, 1, 1, 1, 1, 1, 1, 0],
         [-89, 0, -45, -211, 0, 0, 0, -89, -211, 1],

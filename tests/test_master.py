@@ -443,18 +443,20 @@ def test_node_out_of_time_before_its_lp(monkeypatch, cover_example):
 def test_clock_running_out_inside_a_master_lp_stops_the_run(monkeypatch):
     """A fake clock passes the deadline at a pivot in the middle of a master
     LP.  The run ends with status time_limit, counts only the nodes it
-    completed, and its lower bound stays valid."""
+    completed, and its lower bound stays valid.  The stopping read is taken
+    from a run that never stops: the second read of the first master LP
+    that starts after a completed node and reads the clock twice or more."""
     inst = dataclasses.replace(gen_wmcig(9, 3, 0.2, 0), B=2, k=2)
     orc = inst.oracle()
     optimum = bruteforce.brute_force_solve(inst, orc).value
     full = master.solve(inst, orc, cfg("I-S1"))
-    reads = []
+    reads, last_zero = [], [math.inf]
 
     def clock():
         reads.append(None)
-        return 0.0 if len(reads) <= 87 else 100.0
+        return 0.0 if len(reads) <= last_zero[0] else 100.0
 
-    completed, stopped_in = [], []
+    completed, stopped_in, lps = [], [], []
     process_node = master.InterdictionSolver._process_node
     solve_lp = master.solve_lp
 
@@ -469,11 +471,17 @@ def test_clock_running_out_inside_a_master_lp_stops_the_run(monkeypatch):
         except lp.DeadlineExceeded:
             stopped_in.append(len(reads) - start)
             raise
+        finally:
+            lps.append((len(completed), start, len(reads) - start))
 
     monkeypatch.setattr(master, "time", SimpleNamespace(monotonic=lambda: 0.0))
     monkeypatch.setattr(lp, "time", SimpleNamespace(monotonic=clock))
     monkeypatch.setattr(master.InterdictionSolver, "_process_node", counting_process_node)
     monkeypatch.setattr(master, "solve_lp", master_lp)
+    master.solve(inst, orc, cfg("I-S1", time_limit=10.0))
+    last_zero[0] = next(start + 1 for done, start, count in lps if done > 0 and count >= 2)
+    reads.clear()
+    completed.clear()
     res = master.solve(inst, orc, cfg("I-S1", time_limit=10.0))
     assert stopped_in == [2]  # at the second pivot of a master LP
     assert res.status == "time_limit"
