@@ -1,10 +1,11 @@
 """Dense bounded dual simplex for the small node relaxations.
 
-An ``LpModel`` fixes its columns at construction, each with a finite lower
-bound and an upper bound that may be infinite.  The constructor rejects a
-column without an upper bound whose objective favours rising, so every LP
-is bounded.  Its rows are inequalities a.v <= b, kept in one dense array
-that only grows.  Every solve runs one loop from one start: the ``Basis``
+An ``LpModel`` minimizes over columns fixed at construction, each with a
+finite lower bound and an upper bound that may be infinite.  The
+constructor rejects a column without an upper bound whose objective favours
+rising, so every LP is bounded.  Its rows are inequalities a.v <= b, kept
+in one dense array that only grows; row i has an implicit slack column
+n + i in [0, inf).  Every solve runs one loop from one start: the ``Basis``
 of an earlier optimal result, whose model may have gained rows since
 (their slacks start basic), or else the slack basis.
 
@@ -18,22 +19,29 @@ to the lowest id) and the entering column the least ratio |d_j / alpha_j|
 (ties to the largest |alpha_j|, then the lowest id) among those whose
 |alpha_j| is at least 1e-9 of the largest; a violated row with no eligible
 column proves the LP infeasible.  After 1000 degenerate pivots the picks
-switch to smallest-index rules; runs are deterministic.  A wrong-sign
-column without an upper bound raises ``SolverError`` (only a basis from a
-solve whose fixings were later released has one).
+switch to smallest-index rules, and each movable nonbasic cost moves by 0.5
+to 1 times 1e-6 (1 + |c_j|) the way that keeps it dual feasible, which
+breaks the ties a cycle needs; the first basis with no violated row prices
+the true costs again, so no perturbed optimum is returned.  Runs are
+deterministic.  A wrong-sign column without an upper bound raises
+``SolverError`` (only a basis from a solve whose fixings were later
+released has one).
 
 A solve's deadline, a ``time.monotonic()`` value, goes to ``check_deadline``,
 the solver's one time check: each pivot calls it first, as does each node
 of the follower's search, and it raises ``DeadlineExceeded`` there.
 
-The loop carries the basis matrix's dense inverse, with numpy alone: pi, the
-pivot row and the basic values are products with it, and each pivot updates
-it by one rank-1 product-form step into a new array.  An optimal ``Basis``
-keeps it for later solves, as it is under new fixings and as [[B^-1, 0],
-[-R B^-1, I]] over k new rows, R being those rows over the old basic columns.
-``lu_factor`` refactorizes, after the clock check, at a slack start, every
-``REFACTOR_EVERY`` updates, and when the pivot row (row r of B^-1 A) misses
-1 at the leaving column by more than ``DRIFT_TOL``.
+Each solve pivots on one dense tableau T = [B^-1 [A | I]; d], its last row
+the reduced costs, with numpy alone: one rank-1 update per pivot moves all
+of T, and the basic values move along the entering column.  T is built
+from the basis inverse by one product at the start and after each
+refactorization; [A | I] is formed only to factorize.  An optimal ``Basis``
+keeps T's slack block, B^-1, for later solves, as it is under new fixings
+and as [[B^-1, 0], [-R B^-1, I]] over k new rows, R being those rows over
+the old basic columns.  ``lu_factor`` refactorizes, after the clock check,
+at a slack start, every ``REFACTOR_EVERY`` updates, when the pivot row
+misses 1 at the leaving column by more than ``DRIFT_TOL``, and when the
+basic values of an optimum reached by updates miss its rows by more.
 """
 
 from __future__ import annotations
@@ -52,7 +60,8 @@ PRIMAL_TOL = 1e-9  # a basic value beyond its bound by more is infeasible
 DEGENERATE_LIMIT = 1000
 MAX_ITERATIONS = 100000
 REFACTOR_EVERY = 50  # rank-1 updates of the basis inverse between refactorizations
-DRIFT_TOL = 1e-9  # a pivot row whose entry at the leaving column is farther from 1 refactorizes
+DRIFT_TOL = 1e-9  # a pivot row or an optimum's rows farther off than this refactorize
+PERTURBATION = 1e-6  # relative cost shift once degenerate pivots pile up
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -90,13 +99,11 @@ class LpResult:
 
 
 class LpModel:
-    """LP over the columns given at construction whose rows only grow, kept
-    deduplicated by exact content.  Node bounds are passed to each solve."""
+    """Minimization over the columns given at construction whose rows only
+    grow, kept deduplicated by exact content.  Node bounds are passed to
+    each solve."""
 
-    def __init__(self, lb, ub, obj, sense: str = "min"):
-        if sense not in ("min", "max"):
-            raise ValueError("sense must be 'min' or 'max'")
-        self.sense = sense
+    def __init__(self, lb, ub, obj):
         self.lb = np.array(lb, dtype=float)
         self.ub = np.array(ub, dtype=float)
         self.obj = np.array(obj, dtype=float)
@@ -105,8 +112,7 @@ class LpModel:
         # NaN fails the comparison; a finite lower bound leaves a finite value in the range
         if not (np.isfinite(self.lb) & (self.lb <= self.ub)).all():
             raise ValueError("variable bounds need a finite lower bound not above the upper one")
-        sign = 1.0 if sense == "min" else -1.0
-        if (np.isinf(self.ub) & (sign * self.obj < 0.0)).any():
+        if (np.isinf(self.ub) & (self.obj < 0.0)).any():
             raise ValueError("a column without an upper bound must not improve by rising")
         self._rows = np.empty((8, self.lb.size))  # capacity doubles when full
         self._rhs = np.empty(8)
@@ -159,7 +165,7 @@ def solve_lp(
     model: LpModel, fixed: Optional[Dict[int, float]] = None, basis: Optional[Basis] = None,
     deadline: float = math.inf,
 ) -> LpResult:
-    """Optimize the model with each column in ``fixed`` held at its value for
+    """Minimize the model with each column in ``fixed`` held at its value for
     this solve only; the model itself is not changed.  A fixing outside the
     column's bounds makes the solve infeasible.  ``basis``, from an earlier
     solve of this model, is the start; without it the slack basis is.  A
@@ -168,24 +174,17 @@ def solve_lp(
         raise ValueError("deadline must not be NaN")
     n = model.n_vars
     m = model.n_rows
-    sign = 1.0 if model.sense == "min" else -1.0
-    lb = model.lb.copy()
-    ub = model.ub.copy()
+    low, up, c = np.zeros(n + m), np.full(n + m, np.inf), np.zeros(n + m)  # structurals, then slacks
+    low[:n], up[:n], c[:n] = model.lb, model.ub, model.obj
     for j, value in (fixed or {}).items():
         model._check_var(j)
         if not math.isfinite(value):
             raise ValueError(f"fixing {value} of variable {j} is not finite")
-        lb[j], ub[j] = max(lb[j], value), min(ub[j], value)
-    if np.any(lb > ub):  # a fixing outside its column's bounds
+        low[j], up[j] = max(low[j], value), min(up[j], value)
+    if np.any(low > up):  # a fixing outside its column's bounds
         return LpResult(INFEASIBLE, np.zeros(n), 0.0)
 
-    # columns: structurals, then one slack per row
-    A = np.hstack([model.A, np.eye(m)])
-    b = model.rhs
-    low = np.concatenate([lb, np.zeros(m)])
-    up = np.concatenate([ub, np.full(m, np.inf)])
-    c = np.concatenate([sign * model.obj, np.zeros(m)])
-
+    A = model.A
     if basis is None:
         basic, stat, inv, updates = np.arange(n, n + m), np.full(n + m, _AT_LB), None, 0
     else:
@@ -193,10 +192,12 @@ def solve_lp(
     # a nonbasic column sits at the bound its state names if finite, else at its lower bound
     stat = np.where(np.isfinite(up) & (stat == _AT_UB), _AT_UB, _AT_LB)
     x = np.where(stat == _AT_UB, up, low)
-    status, inv, updates, pivots = _simplex(A, b, low, up, c, basic, x, stat, inv, updates, deadline)
+    status, inv, updates, pivots = _simplex(
+        A, model.rhs, low, up, c, basic, x, stat, inv, updates, deadline
+    )
     if status == INFEASIBLE:
         return LpResult(INFEASIBLE, x[:n].copy(), 0.0, iterations=pivots)
-    obj = sign * float(c @ x)
+    obj = float(c @ x)
     if not (math.isfinite(obj) and np.isfinite(x).all()):
         raise SolverError("optimal solution is not finite")
     kept = Basis(basic.astype(np.int32), stat.astype(np.int8), inv, updates)
@@ -213,9 +214,10 @@ def _grown(basis: Basis, A: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray,
     stat = np.concatenate([basis.stat, np.full(m - old_m, _AT_LB)])
     inv = basis.inverse
     if m > old_m and inv is not None:
-        inv = np.eye(m)  # [[B^-1, 0], [-R B^-1, I]]
+        inv = np.eye(m)  # [[B^-1, 0], [-R B^-1, I]]; an old slack is 0 in the new rows
         inv[:old_m, :old_m] = basis.inverse
-        inv[old_m:, :old_m] = -A[old_m:, basis.basic] @ basis.inverse
+        structural = basis.basic < n
+        inv[old_m:, :old_m] = -A[old_m:, basis.basic[structural]] @ basis.inverse[structural]
     return basic, stat, inv, basis.updates
 
 
@@ -227,12 +229,6 @@ def lu_factor(B) -> np.ndarray:
         raise SolverError("singular basis matrix") from None
 
 
-def _wrong_sign(d, movable_nb, at_lb, d_tol) -> np.ndarray:
-    """The movable nonbasic columns that improve the objective by rising
-    off their lower bound or falling off their upper one."""
-    return movable_nb & np.where(at_lb, d < -d_tol, d > d_tol)
-
-
 def check_deadline(deadline: float) -> None:
     """The one clock check: raise ``DeadlineExceeded`` once ``time.monotonic()``
     reaches ``deadline``, and ``ValueError`` on a NaN one, which it never would."""
@@ -242,83 +238,108 @@ def check_deadline(deadline: float) -> None:
         raise DeadlineExceeded("the deadline was reached")
 
 
-def _simplex(A, b, low, up, c, basis, x, stat, inv, updates, deadline):
-    """In-place bounded dual simplex over A v = b from a basis that bound flips
-    make dual feasible and its inverse after ``updates`` rank-1 updates, or
-    None.  Returns (status, inverse, updates, pivots); see the module docstring."""
+def _simplex(A, b, low, up, c, basic, x, stat, inv, updates, deadline):
+    """In-place bounded dual simplex over [A | I] v = b from a basis that bound
+    flips make dual feasible and its inverse after ``updates`` rank-1 updates,
+    or None.  Returns (status, inverse, updates, pivots); see the module docstring."""
+    m, n = A.shape
     movable = low != up
+    # +1 at a movable nonbasic column's lower bound, -1 at its upper one, else 0
+    direction = np.where(stat == _AT_UB, -1.0, 1.0) * movable
+    direction[basic] = 0.0
+    x[basic] = 0.0  # x holds the nonbasic values; xb the basic ones by position
+    low_b, up_b = low[basic], up[basic]
+    true_c = c  # c is shifted while the costs are perturbed
     degenerate = pivots = 0
     bland = False
     d_tol = OPT_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
     flip_at = 0  # the start, then the pivot after a basis without a violated row
+    T = None
 
     for it in range(MAX_ITERATIONS):
         check_deadline(deadline)
         if inv is None or updates >= REFACTOR_EVERY:
-            inv, updates = lu_factor(A[:, basis]), 0
-        nb = np.ones(c.size, dtype=bool)
-        nb[basis] = False
-        at_lb = stat == _AT_LB
-        d = c - (c[basis] @ inv) @ A
+            inv, updates, T = lu_factor(np.hstack([A, np.eye(m)])[:, basic]), 0, None
+        if T is None:  # T = [B^-1 [A | I]; c - c_B B^-1 [A | I]]
+            T = np.empty((m + 1, n + m))
+            T[:m, :n] = inv @ A
+            T[:m, n:] = inv
+            T[m] = c - c[basic] @ T[:m]
+            inv = T[:m, n:]  # the updates keep it B^-1
+            xb = inv @ (b - A @ x[:n])
+        d = T[m]
         if it == flip_at:
-            flip = _wrong_sign(d, nb & movable, at_lb, d_tol)
+            flip = direction * d < -d_tol
             if flip.any():  # each wrong-sign column moves to its other bound
                 if np.isinf(up[flip]).any():
                     raise SolverError("a column without an upper bound improves")
-                x[flip] = np.where(at_lb[flip], up[flip], low[flip])
-                stat[flip] = np.where(at_lb[flip], _AT_UB, _AT_LB)
-                at_lb = stat == _AT_LB
-        at_ub = ~at_lb
-        xb = inv @ (b - A[:, nb] @ x[nb])
-        x[basis] = xb
-        below = low[basis] - xb
-        violation = np.maximum(below, xb - up[basis])
-        rows = np.flatnonzero(violation > PRIMAL_TOL)
-        if rows.size == 0:
-            if not _wrong_sign(d, nb & movable, at_lb, d_tol).any():
-                return OPTIMAL, inv, updates, pivots
-            flip_at = it + 1  # a pivot too small to take left a wrong sign
-            continue
+                x[flip] = np.where(direction[flip] > 0, up[flip], low[flip])
+                direction[flip] = -direction[flip]
+                xb = inv @ (b - A @ x[:n])
+        below = low_b - xb
+        violation = np.maximum(below, xb - up_b)
+        worst = violation.max(initial=0.0)
+        if not worst > PRIMAL_TOL:  # NaN too: the optimum's finiteness check catches it
+            if c is not true_c:  # price the true costs again before any optimum
+                c = true_c
+                d[:] = c - c[basic] @ T[:m]
+            if (direction * d < -d_tol).any():
+                flip_at = it + 1  # a pivot too small to take, or the perturbation, left a wrong sign
+                continue
+            x[basic] = xb
+            if updates and np.abs(A @ x[:n] + x[n:] - b).max() > DRIFT_TOL:
+                x[basic] = 0.0
+                inv = None  # the updates drifted: refactorize and go on
+                continue
+            stat[movable] = direction[movable] < 0  # _AT_UB, else _AT_LB
+            return OPTIMAL, inv.copy(), updates, pivots
 
         # leaving row: the largest bound violation, ties to the lowest id
-        if not bland:
-            rows = rows[violation[rows] == violation[rows].max()]
-        leave_pos = int(rows[np.argmin(basis[rows])])
-        rise = below[leave_pos] > 0  # the leaving value climbs to its lower bound
+        rows = (violation > PRIMAL_TOL if bland else violation == worst).nonzero()[0]
+        r = int(rows[basic[rows].argmin()]) if rows.size > 1 else int(rows[0])
+        rise = below[r] > 0  # the leaving value climbs to its lower bound
 
         # entering column: the least ratio |d_j / alpha_j| over the columns
         # whose move pushes the leaving value toward its bound
-        alpha = inv[leave_pos] @ A
-        out = basis[leave_pos]
+        alpha = T[r]
+        out = basic[r]
         if updates and abs(alpha[out] - 1.0) > DRIFT_TOL:  # exactly 1 for an exact B^-1
             inv = None  # the updates drifted: refactorize and price this basis again
             continue
-        push = -alpha if rise else alpha  # move toward its bound per unit rise of column j
-        cand = np.flatnonzero(
-            nb & movable & ((at_lb & (push > PIVOT_TOL)) | (at_ub & (push < -PIVOT_TOL)))
-        )
+        push = direction * alpha
+        cand = (push < -PIVOT_TOL if rise else push > PIVOT_TOL).nonzero()[0]
         if cand.size == 0:
+            x[basic] = xb
             return INFEASIBLE, inv, updates, pivots
         piv = np.abs(alpha[cand])
-        dual_room = np.where(at_ub[cand], -d[cand], d[cand])
-        ratio = np.maximum(dual_room, 0.0) / piv
+        ratio = np.maximum((direction * d)[cand], 0.0) / piv
         ratio[piv < REL_PIVOT_TOL * piv.max()] = np.inf  # never the entering column
         step = float(ratio.min())
         tied = ratio <= step + 1e-12
         cand, piv = cand[tied], piv[tied]
-        if not bland:
-            cand = cand[piv == piv.max()]
-        enter = int(cand[0])  # the lowest id
+        q = int(cand[0] if bland else cand[piv.argmax()])  # the lowest id among ties
 
-        col = inv @ A[:, enter]
-        degenerate += step < 1e-10
-        bland = degenerate >= DEGENERATE_LIMIT
-        x[out] = low[out] if rise else up[out]
-        stat[out] = _AT_LB if rise else _AT_UB
-        basis[leave_pos] = enter
-        row = inv[leave_pos] / col[leave_pos]
-        inv = inv - col[:, None] * row  # a new array: a shared Basis keeps its inverse
-        inv[leave_pos] = row
+        # the primal step brings the leaving value to its bound
+        bound = low_b[r] if rise else up_b[r]
+        theta = (xb[r] - bound) / alpha[q]
+        xb -= theta * T[:m, q]
+        xb[r] = x[q] + theta
+        x[out], x[q] = bound, 0.0
+        direction[out] = (1.0 if rise else -1.0) * movable[out]
+        direction[q] = 0.0
+        basic[r] = q
+        low_b[r], up_b[r] = low[q], up[q]
+        row = alpha / alpha[q]
+        T -= T[:, q, None] * row
+        T[r] = row
         updates, pivots = updates + 1, pivots + 1
+        degenerate += step < 1e-10
+        if degenerate >= DEGENERATE_LIMIT and not bland:  # once: see the module docstring
+            bland = True
+            # 0.5 to 1 and distinct per column, by golden-ratio steps
+            spread = 0.5 + 0.5 * np.modf(np.arange(c.size) * 0.6180339887498949)[0]
+            shift = direction * PERTURBATION * (1.0 + np.abs(c)) * spread
+            c = c + shift
+            d += shift
 
     raise SolverError("iteration limit exceeded")
