@@ -19,8 +19,10 @@ import numpy as np
 class Evaluator:
     """Scratch state tracking one member set, updated one item at a time.
 
-    The generic implementation recomputes from the oracle's canonical
-    ``value``; concrete oracles override with O(affected) updates.
+    Each oracle names its own subclass, which provides ``add(i)`` and
+    ``remove(i)`` (each a no-op when i is already in, or already out of,
+    the set) and ``gain(i)``, the marginal gain of adding i to the current
+    members, which is 0.0 when i is a member.
     """
 
     def __init__(self, oracle: "SubmodularOracle"):
@@ -33,34 +35,12 @@ class Evaluator:
         """z of the current member set."""
         return self._value
 
-    def add(self, i: int) -> None:
-        if i in self.members:
-            return
-        self.members.add(i)
-        self._value = self._oracle.value(self.members)
-
-    def remove(self, i: int) -> None:
-        if i not in self.members:
-            return
-        self.members.discard(i)
-        self._value = self._oracle.value(self.members)
-
-    def gain(self, i: int) -> float:
-        """Marginal gain of adding i to the current member set (0 if present)."""
-        if i in self.members:
-            return 0.0
-        self.add(i)
-        high = self.value
-        self.remove(i)
-        return high - self.value
-
 
 class SubmodularOracle:
-    """Base class; subclasses provide ``n`` and either a concrete
-    ``evaluator`` or their own ``value``, which the generic one reads."""
+    """Base class; subclasses provide ``n`` and ``evaluator``, their
+    ``Evaluator`` subclass."""
 
     n: int = 0
-    evaluator = Evaluator
 
     def __init__(self):
         self._rho_empty: np.ndarray | None = None
@@ -73,20 +53,11 @@ class SubmodularOracle:
         return ev
 
     def value(self, items: Iterable[int]) -> float:
-        if self.evaluator.add is Evaluator.add:
-            # the generic evaluator reads ``value`` itself, so one of the two
-            # must be concrete
-            raise NotImplementedError(
-                f"{type(self).__name__} must override value or set an evaluator that overrides add"
-            )
         return self.scratch(self._validated(items)).value
 
     def gain(self, items: Iterable[int], i: int) -> float:
         self.check_item(i)
-        members = self._validated(items)
-        if i in members:
-            return 0.0
-        return self.scratch(members).gain(i)
+        return self.scratch(self._validated(items)).gain(i)
 
     def check_item(self, i: int) -> None:
         if not 0 <= int(i) < self.n:

@@ -381,14 +381,13 @@ class InterdictionSolver:
         of one node.  Each LP starts from the basis of the one before it: the
         parent's last, then this node's previous round.  A fixing or a new
         cut row keeps that basis dual feasible.  Every LP stops at ``deadline``."""
-        fixed = {j: float(v) for j, v in node.fixings.items()}
         frac_done = False
         incumbent = None
         children: List[Dict[int, int]] = []
         bound = node.bound
         basis = node.basis
         while True:
-            res = solve_lp(self.model, fixed, basis, deadline)
+            res = solve_lp(self.model, node.fixings, basis, deadline)
             if res.status == INFEASIBLE:
                 break
             bound, basis = res.objective, res.basis

@@ -174,17 +174,36 @@ def test_bench_checks_its_output_path_before_any_run(tmp_path, capsys, monkeypat
     assert calls == []
 
 
+def _fresh_python(code, env):
+    """stdout of ``code`` run in a new interpreter that imports this
+    package's source, under ``env``."""
+    paths = [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]
+    env = dict(env, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     """The package runs on numpy alone: importing scipy.linalg took 0.2-0.3 s
     and 28 MB of peak RSS, scipy.optimize 20 MB more, so no scipy module may
     load; checked in a fresh interpreter."""
-    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     code = "import sys, subig, subig.cli; print([m for m in sys.modules if m.startswith('scipy')])"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code, os.environ) == "[]"
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_import_pins_blas_to_one_thread_unless_set(preset, expected):
+    """A second OpenBLAS thread doubled the user CPU of an n = 75 solve for
+    no gain, and the ``subig`` entry point imports numpy before ``cli.main``
+    runs, so the package sets the default itself; a user's value wins."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    if preset is not None:
+        env.update(dict.fromkeys(names, preset))
+    code = f"import os, subig; print(*(os.environ[k] for k in {names!r}))"
+    assert _fresh_python(code, env) == " ".join([expected] * 3)
 
 
 def test_missing_file_exits_1(tmp_path, capsys):

@@ -2,22 +2,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subig.core import KnapsackSystem, SubmodularOracle
+from subig.core import Evaluator, KnapsackSystem, SubmodularOracle
 from subig.problems import BiigInstance, gen_wmcig
 
 from conftest import ModularOracle, check_submodular_monotone, random_knapsack
 
 
+class _SquaredSizeEvaluator(Evaluator):
+    def add(self, i):
+        self.members.add(i)
+        self._value = float(len(self.members) ** 2)
+
+    def remove(self, i):
+        self.members.discard(i)
+        self._value = float(len(self.members) ** 2)
+
+    def gain(self, i):
+        return 0.0 if i in self.members else float(2 * len(self.members) + 1)
+
+
 class SquaredSizeOracle(SubmodularOracle):
     """z(S) = |S|^2: supermodular, used to exercise the violation detector."""
+
+    evaluator = _SquaredSizeEvaluator
 
     def __init__(self, n):
         super().__init__()
         self.n = n
-
-    def value(self, items):
-        members = self._validated(items)
-        return float(len(members) ** 2)
 
 
 def test_evaluate_examples(cover_example, bipartite_example):
@@ -67,17 +78,17 @@ def test_rho_maps(cover_example, bipartite_example):
             assert -1e-12 <= rf[i] <= r0[i] + 1e-12
 
 
-def test_oracle_without_value_or_evaluator_says_so():
-    """The generic evaluator reads the oracle's value, so an oracle that
-    overrides neither fails with a clear error, not endless recursion."""
+def test_oracle_without_an_evaluator_says_so():
+    """Every oracle names its own evaluator; there is no generic one to
+    fall back on, so each query fails naming the missing attribute."""
 
     class Bare(SubmodularOracle):
         n = 3
 
     for query in (lambda o: o.value({1}), lambda o: o.gain({0}, 1), lambda o: o.scratch({1})):
-        with pytest.raises(NotImplementedError, match="Bare must override value"):
+        with pytest.raises(AttributeError, match="evaluator"):
             query(Bare())
-    assert SquaredSizeOracle(3).scratch({0, 2}).value == 4.0  # value alone suffices
+    assert SquaredSizeOracle(3).scratch({0, 2}).value == 4.0
 
 
 def test_check_submodular_monotone_passes_on_models():
