@@ -19,9 +19,9 @@ import tempfile
 from pathlib import Path
 
 from subig import cli, master
+from subig.cuts import FAMILIES
 
-AGREE_TOL = 1e-6  # the BIIG tolerance of `subig verify`
-FAMILIES = ("basic", "improved", "lifted", "alternative")
+AGREE_TOL = cli.BIIG_VERIFY_TOL
 
 
 def main(argv=None) -> int:

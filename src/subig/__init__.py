@@ -9,6 +9,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from . import bruteforce, core, cuts, follower, lp, master, problems  # noqa: E402
+from . import bruteforce, core, cuts, follower, lp, master, problems  # noqa: E402, F401
 
 __version__ = "0.1.0"

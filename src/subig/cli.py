@@ -15,7 +15,11 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence
 
 from . import bruteforce, master, problems
+from .cuts import FAMILIES
 from .lp import SolverError
+
+BIIG_VERIFY_TOL = 1e-6  # a BIIG value is a float sum whose last bits depend on its order
+
 
 @dataclasses.dataclass
 class RunRecord:
@@ -79,10 +83,7 @@ def make_record(instance, setting: str, result: master.SolveResult) -> RunRecord
         rgap_pct=result.root_gap,
         nodes=result.nodes,
         sic_total=result.cut_total,
-        sic_basic=result.cuts_by_family["basic"],
-        sic_improved=result.cuts_by_family["improved"],
-        sic_lifted=result.cuts_by_family["lifted"],
-        sic_alternative=result.cuts_by_family["alternative"],
+        **{f"sic_{f}": result.cuts_by_family[f] for f in FAMILIES},
         status=result.status,
     )
 
@@ -141,7 +142,7 @@ def cmd_verify(args) -> int:
     oracle = inst.oracle()
     result = master.solve(inst, oracle, config)
     reference = bruteforce.brute_force_solve(inst, oracle)
-    tol = 0.0 if inst.family == "WMCIG" else 1e-6
+    tol = 0.0 if inst.family == "WMCIG" else BIIG_VERIFY_TOL
     ok = (
         result.status == "optimal"
         and result.value is not None
@@ -162,20 +163,19 @@ def cmd_bench(args) -> int:
     master.SolverConfig(**limits)
     paths: List[str] = []
     configs: List[master.SolverConfig] = []
-    with open(args.manifest, encoding="utf-8") as fh:
-        for lineno, ln in enumerate(fh, 1):
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            parts = ln.split()
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected '<path> <setting>', got {ln!r}")
-            try:
-                config = master.SolverConfig.from_setting(parts[1], **limits)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            paths.append(parts[0])
-            configs.append(config)
+    for lineno, ln in enumerate(problems.read_text(args.manifest).splitlines(), 1):
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        parts = ln.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected '<path> <setting>', got {ln!r}")
+        try:
+            config = master.SolverConfig.from_setting(parts[1], **limits)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        paths.append(parts[0])
+        configs.append(config)
     # opened before any run, so a bad path fails before the work, not after
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         # the pool starts all its workers at the first submit: never more than runs

@@ -10,8 +10,7 @@ evaluators are single-owner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,21 +52,14 @@ class SubmodularOracle:
         return ev
 
     def value(self, items: Iterable[int]) -> float:
-        return self.scratch(self._validated(items)).value
-
-    def gain(self, items: Iterable[int], i: int) -> float:
-        self.check_item(i)
-        return self.scratch(self._validated(items)).gain(i)
+        members = set(items)
+        for i in members:
+            self.check_item(i)
+        return self.scratch(members).value
 
     def check_item(self, i: int) -> None:
         if not 0 <= int(i) < self.n:
             raise ValueError(f"item id {i} outside ground set of size {self.n}")
-
-    def _validated(self, items: Iterable[int]) -> set:
-        members = set(items)
-        for i in members:
-            self.check_item(i)
-        return members
 
     def rho_empty(self) -> np.ndarray:
         """Per-item gains over the empty set, computed once and cached."""
@@ -77,33 +69,29 @@ class SubmodularOracle:
         return self._rho_empty
 
 
-@dataclass(frozen=True)
 class KnapsackSystem:
     """Knapsack constraints on a player's items: costs (L x n), capacities
     (L,).  Both the follower's and the leader's budget are one of these.
 
-    The costs are also kept as one read-only L x n float array, which every
-    weight and fit test reads.
+    The costs live in one read-only L x n array, ``matrix``, which every
+    weight and fit test reads against ``limits``, the capacities plus 1e-9.
     """
 
-    costs: Tuple[Tuple[float, ...], ...]
-    caps: Tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.caps:
+    def __init__(self, costs: Sequence[Sequence[float]], caps: Sequence[float]):
+        if not caps:
             raise ValueError("a knapsack system needs at least one constraint row")
-        if len(self.costs) != len(self.caps):
+        if len(costs) != len(caps):
             raise ValueError("one capacity per cost row required")
-        for r, (row, cap) in enumerate(zip(self.costs, self.caps)):
-            if len(row) != self.n:
+        for r, (row, cap) in enumerate(zip(costs, caps)):
+            if len(row) != len(costs[0]):
                 raise ValueError("every cost row needs one entry per item")
             # NaN fails this test too; fit tests and the follower's bound need finite numbers
             if not all(0.0 <= c < math.inf for c in (*row, cap)):
                 raise ValueError(f"row {r}: knapsack numbers must be finite and non-negative")
-        matrix = np.array(self.costs, dtype=float).reshape(len(self.caps), self.n)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "_matrix", matrix)
-        object.__setattr__(self, "_limits", np.asarray(self.caps, dtype=float) + 1e-9)
+        self.matrix = np.array(costs, dtype=float)
+        self.matrix.setflags(write=False)
+        self.caps = tuple(caps)
+        self.limits = np.asarray(caps, dtype=float) + 1e-9
 
     @classmethod
     def cardinality(cls, n: int, budget: float) -> "KnapsackSystem":
@@ -111,33 +99,33 @@ class KnapsackSystem:
 
     @property
     def L(self) -> int:
-        return len(self.caps)
+        return self.matrix.shape[0]
 
     @property
     def n(self) -> int:
-        return len(self.costs[0])
+        return self.matrix.shape[1]
 
     def weight(self, items: Iterable[int]) -> np.ndarray:
         w = np.zeros(self.L)
         for i in items:
-            w += self._matrix[:, i]
+            w += self.matrix[:, i]
         return w
 
     def fits(self, items: Iterable[int]) -> bool:
         return self.fits_weight(self.weight(items))
 
     def fits_weight(self, weight: np.ndarray) -> bool:
-        return bool(np.all(weight <= self._limits))
+        return bool(np.all(weight <= self.limits))
 
     def fitting(self, weight: np.ndarray) -> np.ndarray:
         """Per item: whether it, added to a set of this weight, still fits.
         One mask, with the same arithmetic as one fit test per item."""
-        return np.all(weight[:, None] + self._matrix <= self._limits[:, None], axis=0)
+        return np.all(weight[:, None] + self.matrix <= self.limits[:, None], axis=0)
 
     def item_cost(self, i: int) -> np.ndarray:
         """Column i of the cost array: a read-only view, not a copy."""
-        return self._matrix[:, i]
+        return self.matrix[:, i]
 
     def cost_le(self, i: int, j: int) -> bool:
         """True when item i costs no more than item j in every constraint."""
-        return bool(np.all(self._matrix[:, i] <= self._matrix[:, j]))
+        return bool(np.all(self.matrix[:, i] <= self.matrix[:, j]))

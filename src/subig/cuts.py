@@ -18,6 +18,7 @@ BASIC = "basic"
 IMPROVED = "improved"
 LIFTED = "lifted"
 ALTERNATIVE = "alternative"
+FAMILIES = (BASIC, IMPROVED, LIFTED, ALTERNATIVE)  # the order of every per-family count
 
 # exchange pairs are only accepted with a strictly positive score
 PAIR_TOL = 1e-9

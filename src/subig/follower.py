@@ -98,8 +98,8 @@ def _bound(
     the knapsack rows, of the fractional-knapsack value of the gains within
     the row's room, since z(S ∪ T) <= z(S) + sum_{i in T} rho_i(S).  An item
     that costs nothing in a row counts in full there."""
-    costs = knapsacks._matrix[:, open_items]
-    room = knapsacks._limits - weight  # the slack of ``fits``
+    costs = knapsacks.matrix[:, open_items]
+    room = knapsacks.limits - weight  # the slack of ``fits``
     ratio = np.divide(gains, costs, out=np.full(costs.shape, np.inf), where=costs > 0.0)
     order = np.argsort(-ratio, axis=1, kind="stable")
     costs = np.take_along_axis(costs, order, axis=1)

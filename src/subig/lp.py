@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -117,7 +117,6 @@ class LpModel:
         self._rows = np.empty((8, self.lb.size))  # capacity doubles when full
         self._rhs = np.empty(8)
         self._m = 0
-        self._row_keys: Set[Tuple[bytes, float]] = set()
 
     @property
     def n_vars(self) -> int:
@@ -140,18 +139,15 @@ class LpModel:
             raise ValueError(f"unknown variable id {j}")
 
     def add_row(self, coefs: Dict[int, float], rhs: float) -> bool:
-        """a.v <= rhs; returns False, adding nothing, when the row is already present."""
+        """a.v <= rhs; returns False, adding nothing, when a model row already equals it."""
         row = np.zeros(self.n_vars)
         for j, c in coefs.items():
             self._check_var(j)
             row[j] = c
-        row += 0.0  # -0.0 becomes 0.0, so the key treats it as an absent entry
         if not (math.isfinite(rhs) and np.isfinite(row).all()):
             raise ValueError("row coefficients and right-hand side must be finite")
-        key = (row.tobytes(), float(rhs))
-        if key in self._row_keys:
+        if ((self.A == row).all(axis=1) & (self.rhs == rhs)).any():
             return False
-        self._row_keys.add(key)
         if self._m == self._rhs.size:
             self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
             self._rhs = np.concatenate([self._rhs, np.empty_like(self._rhs)])

@@ -233,31 +233,25 @@ def separate_integer(
     phi_cache: Dict[frozenset, Tuple[float, frozenset]],
     deadline: float = math.inf,
 ) -> Tuple[List[Cut], Optional[float]]:
-    """Exact separation at a binary leader point: one follower solve, which
-    under E runs in cutoff mode at w* + VIOL_TOL, the same test as for an
-    exact value (its greedy start alone may already exceed it).  Returns ([], phi) when no violated cut exists, meaning the
-    candidate is incumbent-acceptable with exactly that defended value;
-    otherwise a violated cut list and, when the follower run happened to be
-    exact, the value alongside."""
+    """Exact separation at a binary leader point by one follower solve, which
+    under E stops once a set's value passes w* + VIOL_TOL (None: no exact
+    value; only exact values are cached).  Returns ([], phi) when no cut is
+    violated, so the candidate is incumbent-acceptable at that defended
+    value; otherwise the violated cuts and the value if it is exact."""
     avail = frozenset(i for i in range(oracle.n) if x_star[i] <= INT_TOL)
-    phi_val: Optional[float] = None
-    cached = phi_cache.get(avail)
-    if cached is not None:
-        phi_val, s_hat = cached
-        if phi_val <= w_star + VIOL_TOL:
-            return [], phi_val
-    else:
+    entry = phi_cache.get(avail)
+    if entry is None:
         res = follower.solve_sep(
             oracle, avail, knapsacks,
             cutoff=w_star + VIOL_TOL if config.enable_enhanced_int_sep else None,
             deadline=deadline,
         )
-        if res.status == follower.OPTIMAL:
-            phi_val = res.value
-            phi_cache[avail] = (res.value, res.items)
-            if res.value <= w_star + VIOL_TOL:
-                return [], res.value
-        s_hat = res.items
+        entry = (res.value if res.status == follower.OPTIMAL else None, res.items)
+        if entry[0] is not None:
+            phi_cache[avail] = entry
+    phi_val, s_hat = entry
+    if phi_val is not None and phi_val <= w_star + VIOL_TOL:
+        return [], phi_val
     ordering = cutgen.default_ordering(oracle, s_hat)
     built = _build_cuts(oracle, knapsacks, config, s_hat, ordering, x_star, dominating)
     return built, phi_val
@@ -289,7 +283,7 @@ class InterdictionSolver:
         need_lists = config.enable_lift or config.enable_dominance
         self.dominating = instance.dominating_lists() if need_lists else {}
         self.phi_cache: Dict[frozenset, Tuple[float, frozenset]] = {}
-        self.cut_counts = {f: 0 for f in (cutgen.BASIC, cutgen.IMPROVED, cutgen.LIFTED, cutgen.ALTERNATIVE)}
+        self.cut_counts = dict.fromkeys(cutgen.FAMILIES, 0)
         self.events: List[Dict[str, object]] = []
         self._build_model()
 
@@ -298,7 +292,7 @@ class InterdictionSolver:
         self.w = self.n
         ub = np.append(np.ones(self.n), np.inf)
         model = LpModel(np.zeros(self.n + 1), ub, np.append(np.zeros(self.n), 1.0))
-        for costs, cap in zip(self.leader.costs, self.leader.caps):
+        for costs, cap in zip(self.leader.matrix, self.leader.caps):
             model.add_row(dict(enumerate(costs)), cap)
         if self.config.enable_dominance:
             for i, j in dominance_preprocess(self.dominating, self.leader):

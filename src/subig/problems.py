@@ -304,10 +304,19 @@ def dump_instance(inst) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path: str) -> str:
+    """The file as UTF-8 text; an undecodable byte raises a ValueError naming its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {line}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_instance(path: str):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_instance(text, name=path)
+    return parse_instance(read_text(path), name=path)
 
 
 def parse_instance(text: str, name: str = "instance"):

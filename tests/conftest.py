@@ -64,8 +64,8 @@ def check_submodular_monotone(
         T = set(rest[in_t].tolist())
         in_s = rng.random(len(T)) < 0.5
         S = {x for x, keep in zip(sorted(T), in_s) if keep}
-        g_s = oracle.gain(S, i)
-        g_t = oracle.gain(T, i)
+        g_s = oracle.scratch(S).gain(i)
+        g_t = oracle.scratch(T).gain(i)
         if g_s < g_t - tol:
             report.violations.append(
                 f"trial {t}: gain({sorted(S)},{i})={g_s:.12g} < gain({sorted(T)},{i})={g_t:.12g}"

@@ -279,3 +279,36 @@ def test_malformed_manifest_line_exits_2(tmp_path, capsys, body, line):
     err = capsys.readouterr().err
     assert f"error: line {line}: " in err
     assert not out_csv.exists()
+
+
+def test_non_utf8_instance_exits_2_naming_its_line(tmp_path, capsys):
+    path = tmp_path / "bytes.wmcig"
+    path.write_bytes(b"WMCIG 2 2 1 1\nP 5 \xff9\nC 0 1 0\nC 1 1 1\n")
+    assert cli.main(["solve", str(path), "--setting", "B-S1"]) == 2
+    err = capsys.readouterr().err
+    assert "error: line 2: " in err and "Traceback" not in err
+
+
+def test_non_utf8_manifest_exits_2_naming_its_line(tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_bytes(b"# instance setting\n\xff.wmcig B-S1\n")
+    out_csv = tmp_path / "bench.csv"
+    assert cli.main(["bench", str(manifest), "--out", str(out_csv)]) == 2
+    assert "error: line 2: " in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_bench_fails_only_the_entries_of_a_non_utf8_instance(tmp_path, capsys, cover_example):
+    good = tmp_path / "good.wmcig"
+    problems.write_instance(cover_example, str(good))
+    bad = tmp_path / "bad.wmcig"
+    bad.write_bytes(good.read_bytes().replace(b"\n", b"\n\xff", 1))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{bad} B-S1\n{good} I-S2\n{bad} I-S1\n")
+    out_csv = tmp_path / "bench.csv"
+    assert cli.main(["bench", str(manifest), "--out", str(out_csv)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad} B-S1: line 2: " in err and f"error: {bad} I-S1: line 2: " in err
+    with open(out_csv) as fh:
+        statuses = [row["status"] for row in csv.DictReader(fh)]
+    assert statuses == ["error", "optimal", "error"]

@@ -44,21 +44,19 @@ def test_evaluate_rejects_bad_ids(cover_example):
     orc = cover_example.oracle()
     with pytest.raises(ValueError):
         orc.value({0, 5})
-    with pytest.raises(ValueError):
-        orc.gain({0}, -1)
 
 
 def test_marginal_gain_examples(cover_example, bipartite_example):
     worc = cover_example.oracle()
     borc = bipartite_example.oracle()
-    assert borc.gain({2}, 1) == pytest.approx(0.8, abs=1e-12)
-    assert worc.gain({0, 1}, 0) == 0.0  # member: zero by definition
-    assert worc.gain({0, 1}, 2) == 4.0
+    assert borc.scratch({2}).gain(1) == pytest.approx(0.8, abs=1e-12)
+    assert worc.scratch({0, 1}).gain(0) == 0.0  # member: zero by definition
+    assert worc.scratch({0, 1}).gain(2) == 4.0
 
 
 def _complement_gains(orc):
     """Per item: its gain over the rest of the ground set."""
-    return [orc.gain(set(range(orc.n)) - {i}, i) for i in range(orc.n)]
+    return [orc.scratch(set(range(orc.n)) - {i}).gain(i) for i in range(orc.n)]
 
 
 def test_rho_maps(cover_example, bipartite_example):
@@ -85,7 +83,7 @@ def test_oracle_without_an_evaluator_says_so():
     class Bare(SubmodularOracle):
         n = 3
 
-    for query in (lambda o: o.value({1}), lambda o: o.gain({0}, 1), lambda o: o.scratch({1})):
+    for query in (lambda o: o.value({1}), lambda o: o.scratch({1})):
         with pytest.raises(AttributeError, match="evaluator"):
             query(Bare())
     assert SquaredSizeOracle(3).scratch({0, 2}).value == 4.0
@@ -134,11 +132,11 @@ def test_diminishing_returns_and_nemhauser_bound(seed):
     rest = [j for j in range(orc.n) if j != i]
     T = {j for j in rest if rng.random() < 0.6}
     S = {j for j in T if rng.random() < 0.6}
-    assert orc.gain(S, i) >= orc.gain(T, i) - 1e-9
-    assert orc.gain(T, i) >= -1e-9
+    assert orc.scratch(S).gain(i) >= orc.scratch(T).gain(i) - 1e-9
+    assert orc.scratch(T).gain(i) >= -1e-9
     # one-sided bound: z(T) <= z(S) + sum of gains of T-minus-S items over S
     lhs = orc.value(T)
-    rhs = orc.value(S) + sum(orc.gain(S, j) for j in T - S)
+    rhs = orc.value(S) + sum(orc.scratch(S).gain(j) for j in T - S)
     assert lhs <= rhs + 1e-9
 
 
@@ -167,6 +165,11 @@ def test_knapsack_system_rejects_numbers_its_layers_disagree_on(costs, caps, row
     the empty seed set infeasible."""
     with pytest.raises(ValueError, match=f"row {row}: knapsack numbers"):
         KnapsackSystem(costs=costs, caps=caps)
+
+
+def test_knapsack_system_rejects_ragged_cost_rows():
+    with pytest.raises(ValueError, match="every cost row needs one entry per item"):
+        KnapsackSystem(costs=((1.0, 1.0), (1.0,)), caps=(2.0, 2.0))
 
 
 def test_knapsack_system_rejects_zero_rows():
@@ -224,7 +227,7 @@ def test_scratch_matches_value_after_churn(cover_example, bipartite_example):
             else:
                 assert ev.value == pytest.approx(orc.value(ev.members), abs=1e-12)
             assert [ev.gain(t) for t in range(orc.n)] == [
-                orc.gain(ev.members, t) for t in range(orc.n)
+                orc.scratch(ev.members).gain(t) for t in range(orc.n)
             ]
         assert orc.scratch(ev.members).value == orc.value(ev.members)
         assert orc.scratch().value == 0.0

@@ -92,6 +92,13 @@ def test_duplicate_rows_are_collapsed():
     assert m.n_rows == 4
     assert np.array_equal(m.A, [[1.0, 2.0], [1.0, 2.0], [1.0, 0.0], [1.0, 0.0]])
     assert np.array_equal(m.rhs, [3.0, 4.0, 5.0, 0.0])
+    # past the first 8 rows the row array doubles; its unused rows never match
+    for k in range(6):
+        assert m.add_row({a: float(k)}, 10.0 + k) is True
+    assert m.n_rows == 10
+    assert m.add_row({a: 1.0, b: 2.0}, 3.0) is False
+    assert m.add_row({}, 0.0) is True
+    assert m.n_rows == 11
 
 
 def test_fix_unfix_roundtrip():

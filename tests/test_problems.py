@@ -69,7 +69,7 @@ def test_wmcig_replaced_site_gains_nothing_next_to_its_replacement():
         dom = inst.dominating_lists()
         for a in range(inst.n):
             for b in dom.get(a, ()):
-                assert orc.gain({b}, a) == 0.0
+                assert orc.scratch({b}).gain(a) == 0.0
                 pairs += 1
     assert pairs > 0
 
@@ -266,7 +266,7 @@ def test_superiority_lists_are_sound():
                         for t in range(inst.n):
                             if t in S or t == j:
                                 continue
-                            assert orc.gain(swapped, t) <= orc.gain(S, t) + 1e-9
+                            assert orc.scratch(swapped).gain(t) <= orc.scratch(S).gain(t) + 1e-9
                             checked += 1
             if dom:
                 assert checked > 0
