@@ -20,8 +20,11 @@ class Evaluator:
 
     Each oracle names its own subclass, which provides ``add(i)`` and
     ``remove(i)`` (each a no-op when i is already in, or already out of,
-    the set) and ``gain(i)``, the marginal gain of adding i to the current
-    members, which is 0.0 when i is a member.
+    the set), ``gain(i)``, the marginal gain of adding i to the current
+    members, which is 0.0 when i is a member, and ``gains(items)``, the
+    same for a sequence of ids as one float array: ``gains(items)[k] ==
+    gain(items[k])``, up to the order in which a float sum adds its terms.
+    ``gain`` and ``gains`` raise ValueError for an id outside 0..n-1.
     """
 
     def __init__(self, oracle: "SubmodularOracle"):
@@ -120,7 +123,7 @@ class KnapsackSystem:
     def fitting(self, weight: np.ndarray) -> np.ndarray:
         """Per item: whether it, added to a set of this weight, still fits.
         One mask, with the same arithmetic as one fit test per item."""
-        return np.all(weight[:, None] + self.matrix <= self.limits[:, None], axis=0)
+        return (weight[:, None] + self.matrix <= self.limits[:, None]).all(axis=0)
 
     def item_cost(self, i: int) -> np.ndarray:
         """Column i of the cost array: a read-only view, not a copy."""

@@ -1,13 +1,19 @@
 """Follower-side maximization: greedy, exact branch-and-bound, and value.
 
 The exact solver searches over items depth-first from the greedy set, with
-no LP.  A node holds the chosen set S and the items not yet chosen or
-excluded; of those, the ones that still fit are open.  The node's bound is
-z(S) plus, for the tightest knapsack row, the fractional-knapsack value of
-the open items' gains over S (Nemhauser and Wolsey, 1981: z(S ∪ T) <= z(S)
-+ sum_{i in T} rho_i(S)).  It branches on the open item of largest gain,
-inclusion first, so that in cutoff mode an improving solution surfaces
-quickly.
+no LP.  A node holds the chosen set S, its weight, and the items not yet
+chosen or excluded; of those, the ones that still fit are open.  The node's
+bound is z(S) plus, for the tightest knapsack row, the fractional-knapsack
+value of the open items' gains over S (Nemhauser and Wolsey, 1981:
+z(S ∪ T) <= z(S) + sum_{i in T} rho_i(S)).  It branches on the open item of
+largest gain, inclusion first, so that in cutoff mode an improving solution
+surfaces quickly.
+
+One evaluator serves the whole search: at each node it removes and adds the
+difference to that node's S, which the order-free evaluator contract makes
+exact, and it gives all the open items' gains in one ``gains`` call.  The
+greedy and the cut builders add an item between gains, over few candidates,
+so they keep the scalar ``gain``.
 """
 
 from __future__ import annotations
@@ -100,12 +106,15 @@ def _bound(
     that costs nothing in a row counts in full there."""
     costs = knapsacks.matrix[:, open_items]
     room = knapsacks.limits - weight  # the slack of ``fits``
-    ratio = np.divide(gains, costs, out=np.full(costs.shape, np.inf), where=costs > 0.0)
-    order = np.argsort(-ratio, axis=1, kind="stable")
-    costs = np.take_along_axis(costs, order, axis=1)
-    before = np.cumsum(costs, axis=1) - costs  # room the better items take first
-    share = np.divide(room[:, None] - before, costs, out=np.ones(costs.shape), where=costs > 0.0)
-    return ev.value + float((np.clip(share, 0.0, 1.0) * gains[order]).sum(axis=1).min())
+    with np.errstate(divide="ignore", invalid="ignore"):  # a free item's quotient becomes inf
+        ratio = gains / costs
+        ratio[costs == 0.0] = np.inf
+        order = (-ratio).argsort(axis=1, kind="stable")
+        costs = costs[np.arange(len(room))[:, None], order]
+        before = costs.cumsum(axis=1) - costs  # room the better items take first
+        share = np.where(costs > 0.0, (room[:, None] - before) / costs, 1.0)
+    share = np.minimum(np.maximum(share, 0.0), 1.0)  # np.clip, without its dispatch cost
+    return ev.value + float((share * gains[order]).sum(axis=1).min())
 
 
 def solve_sep(
@@ -137,28 +146,38 @@ def solve_sep(
 
     allowed = np.zeros(oracle.n, dtype=bool)
     allowed[items] = True
-    # each node: its chosen set and the items not yet chosen or excluded
-    stack: List[Tuple[Tuple[int, ...], np.ndarray]] = [((), allowed)]
+    ev = oracle.scratch()  # moved to each popped node's chosen set
+    # each node: its chosen set, that set's weight, and the items not yet
+    # chosen or excluded
+    stack: List[Tuple[Tuple[int, ...], np.ndarray, np.ndarray]] = [
+        ((), np.zeros(knapsacks.L), allowed)
+    ]
     while stack:
         check_deadline(deadline)
-        chosen, allowed = stack.pop()
-        ev = oracle.scratch(chosen)
+        chosen, weight, allowed = stack.pop()
+        for i in ev.members.difference(chosen):
+            ev.remove(i)
+        for i in chosen:
+            ev.add(i)
         if ev.value > inc_val + 1e-12:
-            inc_set, inc_val = frozenset(chosen), ev.value
-            if cutoff is not None and inc_val > cutoff:
-                return SepResult(inc_set, inc_val, CUTOFF_EXCEEDED)
-        weight = knapsacks.weight(chosen)
-        open_items = np.flatnonzero(allowed & knapsacks.fitting(weight))
+            # a probabilistic ev.value is a running sum whose last bits
+            # depend on the path to this node; the incumbent's is exact
+            value = oracle.scratch(chosen).value
+            if value > inc_val + 1e-12:
+                inc_set, inc_val = frozenset(chosen), value
+                if cutoff is not None and inc_val > cutoff:
+                    return SepResult(inc_set, inc_val, CUTOFF_EXCEEDED)
+        open_items = (allowed & knapsacks.fitting(weight)).nonzero()[0]
         if open_items.size == 0:
             continue
-        gains = np.array([ev.gain(i) for i in open_items.tolist()])
+        gains = ev.gains(open_items)
         if _bound(ev, open_items, gains, knapsacks, weight) <= inc_val + 1e-9:
             continue
         pick = int(open_items[np.argmax(gains)])  # the largest gain, ties to the lowest id
         rest = allowed.copy()
         rest[pick] = False
-        stack.append((chosen, rest))
-        stack.append((chosen + (pick,), rest))  # explore inclusion first
+        stack.append((chosen, weight, rest))
+        stack.append((chosen + (pick,), weight + knapsacks.item_cost(pick), rest))  # inclusion first
     return SepResult(inc_set, inc_val, OPTIMAL)
 
 

@@ -191,14 +191,25 @@ class _CoverageEvaluator(Evaluator):
             self._recompute(j)
 
     def gain(self, i):
+        orc = self._oracle
+        if not 0 <= i < orc.n:
+            orc.check_item(i)  # raises
         if i in self.members:
             return 0.0
-        orc = self._oracle
         p = orc.probs[i]
         g = 0.0
         for j in orc.neighbors[i]:
             g += orc.weights[j] * self._survive[j] * p
         return g
+
+    def gains(self, items):
+        orc = self._oracle
+        items = np.asarray(items, dtype=np.intp)
+        if items.size and not 0 <= items.min() <= items.max() < orc.n:
+            orc.check_item(items[(items < 0) | (items >= orc.n)][0])  # raises
+        g = orc.gain_rows @ np.array(self._survive)  # every item's: cheaper than picking rows first
+        g[list(self.members)] = 0.0
+        return g[items]
 
 
 class CoverageOracle(SubmodularOracle):
@@ -218,6 +229,12 @@ class CoverageOracle(SubmodularOracle):
             for j in hit:
                 hitters[j].append(i)
         self.hitters = tuple(tuple(h) for h in hitters)
+        # row i: w_j * p_i at each target j that item i reaches, so that all
+        # gains over a survival vector s are one product, gain_rows @ s
+        self.gain_rows = np.zeros((self.n, len(self.weights)))
+        for i, hit in enumerate(self.neighbors):
+            self.gain_rows[i, list(hit)] = [self.weights[j] * self.probs[i] for j in hit]
+        self.gain_rows.setflags(write=False)
 
 
 def gen_wmcig(n: int, r: float, k_frac: float, seed: int) -> WmcigInstance:

@@ -23,6 +23,10 @@ class _ModularEvaluator(Evaluator):
     def gain(self, i):
         return 0.0 if i in self.members else float(self._oracle.weights[i])
 
+    def gains(self, items):
+        items = np.asarray(items, dtype=np.intp)
+        return np.where(np.isin(items, list(self.members)), 0.0, self._oracle.weights[items])
+
 
 class ModularOracle(SubmodularOracle):
     """Additive function z(S) = sum of per-item weights; the modular baseline."""

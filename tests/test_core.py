@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subig.core import Evaluator, KnapsackSystem, SubmodularOracle
-from subig.problems import BiigInstance, gen_wmcig
+from subig.problems import BiigInstance, gen_biig, gen_wmcig
 
 from conftest import ModularOracle, check_submodular_monotone, random_knapsack
 
@@ -19,6 +19,9 @@ class _SquaredSizeEvaluator(Evaluator):
 
     def gain(self, i):
         return 0.0 if i in self.members else float(2 * len(self.members) + 1)
+
+    def gains(self, items):
+        return np.where(np.isin(items, list(self.members)), 0.0, float(2 * len(self.members) + 1))
 
 
 class SquaredSizeOracle(SubmodularOracle):
@@ -44,6 +47,19 @@ def test_evaluate_rejects_bad_ids(cover_example):
     orc = cover_example.oracle()
     with pytest.raises(ValueError):
         orc.value({0, 5})
+
+
+def test_gains_reject_ids_outside_the_ground_set():
+    """An id below 0 or past n - 1 raises, and does not wrap round to the
+    last item's gain as a Python index would."""
+    ev = gen_wmcig(6, 1, 0.2, 0).oracle().scratch({0})
+    for bad in (-1, 6):
+        with pytest.raises(ValueError, match="outside ground set"):
+            ev.gain(bad)
+        for items in ([bad], [1, bad, 2]):
+            with pytest.raises(ValueError, match="outside ground set"):
+                ev.gains(items)
+    assert ev.gains([]).shape == (0,)
 
 
 def test_marginal_gain_examples(cover_example, bipartite_example):
@@ -231,3 +247,32 @@ def test_scratch_matches_value_after_churn(cover_example, bipartite_example):
             ]
         assert orc.scratch(ev.members).value == orc.value(ev.members)
         assert orc.scratch().value == 0.0
+
+
+def test_gains_match_gain_after_churn(bipartite_example):
+    """After any add/remove churn, ``gains`` gives each item's ``gain``, in
+    any order and with repeats, and 0.0 for members.  Coverage gains are
+    integer-valued and match bit for bit; probabilistic ones are sums that
+    BLAS may add in another order, so they match to 1e-12 relative."""
+    coverage = [gen_wmcig(n, 2, 0.1, seed).oracle() for n, seed in ((10, 1), (25, 2), (40, 12))]
+    probabilistic = [bipartite_example.oracle()]
+    probabilistic += [gen_biig(n, 2, 3, 2, 0.3, seed).oracle() for n, seed in ((8, 3), (15, 4))]
+    plain = [ModularOracle((2.0, 0.0, 7.5, 1.25)), SquaredSizeOracle(5)]
+    rng = np.random.default_rng(4)
+    for orc in coverage + probabilistic + plain:
+        ev = orc.scratch()
+        for _ in range(200):
+            i = int(rng.integers(orc.n))
+            if i in ev.members:
+                ev.remove(i)
+            else:
+                ev.add(i)
+            items = rng.integers(0, orc.n, int(rng.integers(0, 2 * orc.n)))
+            got = ev.gains(items)
+            want = [ev.gain(int(i)) for i in items]
+            assert got.shape == (len(items),)
+            if orc in probabilistic:
+                assert all(abs(g - w) <= 1e-12 * max(1.0, abs(w)) for g, w in zip(got, want))
+            else:
+                assert got.tolist() == want
+            assert all(g == 0.0 for g, i in zip(got, items) if i in ev.members)

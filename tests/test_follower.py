@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -221,11 +222,50 @@ def test_node_bound_is_never_below_the_best_extension(monkeypatch):
     assert checked > 50
 
 
+def test_node_bound_is_the_fractional_knapsack_value():
+    """The bound is z(S) plus the least, over the rows, of a fractional
+    knapsack over the open items' gains, items that cost nothing in a row
+    counting in full there; zero costs and zero gains raise no float warning."""
+    rng = np.random.default_rng(11)
+    orc = gen_wmcig(12, 2, 0.2, 3).oracle()
+    for _ in range(300):
+        knap = random_knapsack(rng, orc.n)
+        ev = orc.scratch(rng.choice(orc.n, int(rng.integers(0, 3)), replace=False).tolist())
+        weight = knap.weight(ev.members)
+        open_items = np.flatnonzero(knap.fitting(weight) & (rng.random(orc.n) < 0.7))
+        gains = rng.integers(0, 4, open_items.size) * rng.random(open_items.size)
+        expected = math.inf
+        for costs, room in zip(knap.matrix[:, open_items], knap.limits - weight):
+            total = 0.0
+            for k in sorted(range(open_items.size), key=lambda k: (
+                    -math.inf if costs[k] == 0.0 else -gains[k] / costs[k], k)):
+                share = 1.0 if costs[k] == 0.0 else min(1.0, max(0.0, room / costs[k]))
+                total += share * gains[k]
+                room -= costs[k]
+            expected = min(expected, total)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = follower._bound(ev, open_items, gains, knap, weight)
+        assert bound == pytest.approx(ev.value + expected, rel=1e-12, abs=1e-12)
+
+
+def test_search_value_is_the_value_of_its_set():
+    """The search moves one evaluator from node to node, so its running
+    probabilistic value picks up rounding along the way; the value it
+    returns is still exactly the oracle's value of the returned set."""
+    rng = np.random.default_rng(1)
+    for seed in range(60):
+        orc = gen_biig(10, 2, 3, 2, 0.3, seed).oracle()
+        knap = random_knapsack(rng, orc.n)
+        res = follower.solve_sep(orc, [i for i in range(orc.n) if rng.random() < 0.8], knap)
+        assert res.value == orc.value(res.items)
+
+
 def test_time_budget_is_checked_before_every_lp(monkeypatch):
-    """The search reads the clock once per node, before the node builds its
-    evaluator.  Each read here moves a fake clock 10 s, so under a deadline
-    at 25 s the fourth node's read, at 30 s, raises before that node does
-    anything."""
+    """The search builds one evaluator, then reads the clock once per node,
+    before it moves that evaluator to the node.  Each read here moves a fake
+    clock 10 s, so under a deadline at 25 s the fourth node's read, at 30 s,
+    raises before that node does anything."""
     inst = gen_wmcig(20, 2, 0.2, 1)
     orc, knap = inst.oracle(), inst.knapsacks()
     now, events = [0.0], []
@@ -237,21 +277,37 @@ def test_time_budget_is_checked_before_every_lp(monkeypatch):
 
     scratch = orc.scratch
 
+    def logged(name, method):
+        def call(*args):
+            events.append(name)
+            return method(*args)
+
+        return call
+
     def logged_scratch(items=()):
         events.append("scratch")
-        return scratch(items)
+        ev = scratch(items)
+        for name in ("add", "remove", "gains"):
+            setattr(ev, name, logged(name, getattr(ev, name)))
+        return ev
 
     monkeypatch.setattr(lp, "time", SimpleNamespace(monotonic=clock))
     monkeypatch.setattr(orc, "scratch", logged_scratch)
     assert follower.solve_sep(orc, range(orc.n), knap).status == OPTIMAL
-    nodes = events.count("read")
-    # the greedy start and its value, then one read and one evaluator per node
-    assert nodes > 4 and events == ["scratch"] * 2 + ["read", "scratch"] * nodes
+    start = events.index("read")
+    setup, search = events[:start], events[start:]
+    nodes = search.count("read")
+    # the greedy start, its value and the search's evaluator; then, per
+    # node, one read and that evaluator's moves and gains (the greedy set is
+    # optimal here, so no node builds an evaluator for a new incumbent)
+    assert setup.count("scratch") == 3 and "scratch" not in search and nodes > 4
+    assert {"add", "remove", "gains"} <= set(search)
+    fourth = [k for k, e in enumerate(search) if e == "read"][3]
     events.clear()
     now[0] = 0.0
     with pytest.raises(lp.DeadlineExceeded):
         follower.solve_sep(orc, range(orc.n), knap, deadline=25.0)
-    assert events == ["scratch"] * 2 + ["read", "scratch"] * 3 + ["read"]
+    assert events == setup + search[: fourth + 1]
 
 
 def test_phi_raises_once_its_lp_outlives_the_budget(monkeypatch):
@@ -312,7 +368,7 @@ def test_follower_search_takes_few_nodes(monkeypatch):
     for _ in range(5):
         removed = rng.choice(orc.n, inst.B, replace=False)
         follower.phi(orc, np.isin(np.arange(orc.n), removed).astype(float), knap)
-    assert len(reads) < 40 * 5
+    assert len(reads) == 29 + 15 + 25 + 15 + 29
 
 
 def test_query_that_broke_the_follower_lp_ends(monkeypatch):
