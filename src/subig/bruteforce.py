@@ -8,9 +8,9 @@ interdiction set.  Guarded to desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -54,7 +54,6 @@ def brute_force_phi(
 class BruteForceResult:
     value: float
     x: Tuple[int, ...]
-    table: Optional[Dict[Tuple[int, ...], float]] = field(default=None, repr=False)
 
 
 def leader_sets(n: int, k: int):
@@ -63,7 +62,7 @@ def leader_sets(n: int, k: int):
         yield from combinations(range(n), size)
 
 
-def brute_force_solve(instance, oracle: SubmodularOracle, with_table: bool = False) -> BruteForceResult:
+def brute_force_solve(instance, oracle: SubmodularOracle) -> BruteForceResult:
     """Exact min-max by enumerating every cardinality-feasible interdiction.
 
     Ties on the optimal value resolve to the lexicographically smallest 0/1
@@ -76,15 +75,12 @@ def brute_force_solve(instance, oracle: SubmodularOracle, with_table: bool = Fal
     k = int(instance.k)
     best_val = None
     best_vec: Optional[Tuple[int, ...]] = None
-    table: Dict[Tuple[int, ...], float] = {}
     for chosen in leader_sets(n, k):
         removed = set(chosen)
         avail = [i for i in range(n) if i not in removed]
         val = brute_force_phi(oracle, avail, knapsacks)
         vec = tuple(1 if i in removed else 0 for i in range(n))
-        if with_table:
-            table[vec] = val
         if best_val is None or val < best_val or (val == best_val and vec < best_vec):
             best_val = val
             best_vec = vec
-    return BruteForceResult(value=float(best_val), x=best_vec, table=table if with_table else None)
+    return BruteForceResult(value=float(best_val), x=best_vec)

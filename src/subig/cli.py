@@ -144,7 +144,7 @@ def cmd_verify(args) -> int:
     reference = bruteforce.brute_force_solve(inst, oracle)
     tol = 0.0 if inst.family == "WMCIG" else BIIG_VERIFY_TOL
     ok = (
-        result.status == "optimal"
+        result.status == master.STATUS_OPTIMAL
         and result.value is not None
         and abs(result.value - reference.value) <= tol
     )
@@ -221,10 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
         model.add_argument("--out", required=True)
         model.set_defaults(func=cmd_generate)
 
+    def add_limit_flags(p):
+        p.add_argument("--time-limit", type=float)
+        p.add_argument("--node-limit", type=int)
+
     def add_solver_flags(p):
         p.add_argument("--setting", default="ILDAE-S1")
-        p.add_argument("--time-limit", type=float, default=None, dest="time_limit")
-        p.add_argument("--node-limit", type=int, default=None, dest="node_limit")
+        add_limit_flags(p)
 
     slv = sub.add_parser("solve", help="solve one instance and print a run record")
     slv.add_argument("instance")
@@ -241,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("manifest")
     ben.add_argument("--out", required=True)
     ben.add_argument("--threads", type=int, default=1)
-    ben.add_argument("--time-limit", type=float, default=None, dest="time_limit")
-    ben.add_argument("--node-limit", type=int, default=None, dest="node_limit")
+    add_limit_flags(ben)
     ben.set_defaults(func=cmd_bench)
 
     return parser

@@ -24,7 +24,7 @@ class Evaluator:
     members, which is 0.0 when i is a member, and ``gains(items)``, the
     same for a sequence of ids as one float array: ``gains(items)[k] ==
     gain(items[k])``, up to the order in which a float sum adds its terms.
-    ``gain`` and ``gains`` raise ValueError for an id outside 0..n-1.
+    Each of the four raises ValueError for an id outside 0..n-1.
     """
 
     def __init__(self, oracle: "SubmodularOracle"):

@@ -11,6 +11,13 @@ the one before it, which a child node inherits from its parent.  Its basis
 inverse goes along while the open nodes times its size stay within
 ``INVERSE_HEAP_BYTES``; past that a child refactorizes when popped, so the
 inverses the open nodes hold stay within about that many bytes.
+
+The separation functions take a leader point and the solver, or any object
+with its oracle, knapsacks, leader, config, dominating and phi_cache
+attributes.  They stay module-level names, which a tracer wraps and tests
+call on stand-in state.  phi at an integer point has one path,
+``_defended_value``, which caches every exact value.  The alternative cut (A)
+is built at fractional points only: at a binary point it equals its base.
 """
 
 from __future__ import annotations
@@ -142,80 +149,60 @@ def _rounding_ground_set(x_star: Sequence[float], leader: KnapsackSystem) -> Lis
     return [i for i in range(n) if i not in ones]
 
 
-def fractional_candidate(
-    oracle: SubmodularOracle,
-    x_star: Sequence[float],
-    strategy: str,
-    cut_family: str,
-    knapsacks: KnapsackSystem,
-    leader: KnapsackSystem,
-) -> Tuple[frozenset, Tuple[int, ...]]:
+def _available(x: Sequence[float]) -> frozenset:
+    """The items a leader point leaves to the follower: those with x_i <= INT_TOL."""
+    return frozenset(i for i, xi in enumerate(x) if xi <= INT_TOL)
+
+
+def fractional_candidate(solver, x_star: Sequence[float]) -> Tuple[frozenset, Tuple[int, ...]]:
     """Heuristic generating set and ordering for a fractional leader point."""
-    n = oracle.n
-    if strategy == "S3":
-        if cut_family == "improved":
+    oracle, knapsacks, config = solver.oracle, solver.knapsacks, solver.config
+    improved = config.cut_family == "improved"
+    if config.frac_strategy == "S3":
+        if improved:
             score = lambda i, g: g * (1.0 - x_star[i])
         else:
             rho0 = oracle.rho_empty()
             score = lambda i, g: g - float(rho0[i]) * x_star[i]
-        return follower.greedy(oracle, range(n), knapsacks, score=score)
-    if strategy == "S1":
-        ground = [i for i in range(n) if x_star[i] <= INT_TOL]
-    elif strategy == "S2":
-        ground = _rounding_ground_set(x_star, leader)
+        return follower.greedy(oracle, range(oracle.n), knapsacks, score=score)
+    if config.frac_strategy == "S1":
+        ground = _available(x_star)
     else:
-        raise ValueError(f"unknown fractional strategy {strategy!r}")
+        ground = _rounding_ground_set(x_star, solver.leader)
     s_hat, order = follower.greedy(oracle, ground, knapsacks=knapsacks)
-    if cut_family == "improved":
-        s_hat, order = follower.greedy(oracle, range(n), knapsacks, order)
+    if improved:
+        s_hat, order = follower.greedy(oracle, range(oracle.n), knapsacks, order)
     return s_hat, order
 
 
-def _build_cuts(
-    oracle: SubmodularOracle,
-    knapsacks: KnapsackSystem,
-    config: SolverConfig,
-    s_hat: Iterable[int],
-    ordering: Sequence[int],
-    x_star: Sequence[float],
-    dominating: Mapping[int, Tuple[int, ...]],
-) -> List[Cut]:
-    """The main cut (lifted under L) and, under A, the alternative cut when
-    it has exchange pairs.  At a binary x* every member of the follower set
-    is uninterdicted, so no exchange spread is positive and the alternative
-    cut has none."""
-    if config.cut_family == "improved":
+def _main_cut(
+    solver, s_hat: Iterable[int], ordering: Sequence[int], x_star: Sequence[float]
+) -> Tuple[Cut, Cut]:
+    """The base cut of the configured family, and the main cut: the base,
+    lifted under L."""
+    oracle = solver.oracle
+    if solver.config.cut_family == "improved":
         base = cutgen.improved_sic(oracle, s_hat, ordering)
     else:
         base = cutgen.basic_sic(oracle, s_hat)
-    main = base
-    if config.enable_lift:
-        main = cutgen.lift_sic(oracle, base, x_star, dominating)
-    out = [main]
-    if config.enable_alternative:
-        alt = cutgen.alternative_sic(oracle, base, x_star, knapsacks)
-        if alt.pairs:
-            out.append(alt)
-    return out
+    if solver.config.enable_lift:
+        return base, cutgen.lift_sic(oracle, base, x_star, solver.dominating)
+    return base, base
 
 
-def separate_fractional(
-    oracle: SubmodularOracle,
-    knapsacks: KnapsackSystem,
-    leader: KnapsackSystem,
-    config: SolverConfig,
-    dominating: Mapping[int, Tuple[int, ...]],
-    w_star: float,
-    x_star: Sequence[float],
-) -> List[Cut]:
-    """Candidate set via the configured strategy; keep cuts whose relative
-    violation clears the threshold."""
-    s_hat, order = fractional_candidate(
-        oracle, x_star, config.frac_strategy, config.cut_family, knapsacks, leader
-    )
+def separate_fractional(solver, w_star: float, x_star: Sequence[float]) -> List[Cut]:
+    """Candidate set via the configured strategy; the main cut and, under A,
+    the alternative cut when it has exchange pairs.  Keeps the cuts whose
+    relative violation clears the threshold."""
+    s_hat, order = fractional_candidate(solver, x_star)
     if not s_hat:
         return []
-    built = _build_cuts(oracle, knapsacks, config, s_hat, order, x_star, dominating)
+    base, main = _main_cut(solver, s_hat, order, x_star)
+    built = [main]
+    if solver.config.enable_alternative:
+        alt = cutgen.alternative_sic(solver.oracle, base, x_star, solver.knapsacks)
+        if alt.pairs:
+            built.append(alt)
     return [
         c
         for c in built
@@ -223,38 +210,35 @@ def separate_fractional(
     ]
 
 
+def _defended_value(
+    solver, available: frozenset, cutoff: Optional[float], deadline: float
+) -> Tuple[Optional[float], frozenset]:
+    """(phi over ``available``, or None when the follower stopped at the
+    cutoff; the follower's set) from the cache or one follower solve.  Only
+    exact values are cached."""
+    if available not in solver.phi_cache:
+        res = follower.solve_sep(solver.oracle, available, solver.knapsacks, cutoff, deadline)
+        if res.status != follower.OPTIMAL:
+            return None, res.items
+        solver.phi_cache[available] = (res.value, res.items)
+    return solver.phi_cache[available]
+
+
 def separate_integer(
-    oracle: SubmodularOracle,
-    knapsacks: KnapsackSystem,
-    config: SolverConfig,
-    w_star: float,
-    x_star: Sequence[float],
-    dominating: Mapping[int, Tuple[int, ...]],
-    phi_cache: Dict[frozenset, Tuple[float, frozenset]],
-    deadline: float = math.inf,
+    solver, w_star: float, x_star: Sequence[float], deadline: float = math.inf
 ) -> Tuple[List[Cut], Optional[float]]:
     """Exact separation at a binary leader point by one follower solve, which
     under E stops once a set's value passes w* + VIOL_TOL (None: no exact
-    value; only exact values are cached).  Returns ([], phi) when no cut is
-    violated, so the candidate is incumbent-acceptable at that defended
-    value; otherwise the violated cuts and the value if it is exact."""
-    avail = frozenset(i for i in range(oracle.n) if x_star[i] <= INT_TOL)
-    entry = phi_cache.get(avail)
-    if entry is None:
-        res = follower.solve_sep(
-            oracle, avail, knapsacks,
-            cutoff=w_star + VIOL_TOL if config.enable_enhanced_int_sep else None,
-            deadline=deadline,
-        )
-        entry = (res.value if res.status == follower.OPTIMAL else None, res.items)
-        if entry[0] is not None:
-            phi_cache[avail] = entry
-    phi_val, s_hat = entry
+    value).  Returns ([], phi) when no cut is violated, so the candidate is
+    incumbent-acceptable at that defended value; otherwise the main cut and
+    the value if it is exact.  At a binary x* every member of the follower
+    set is uninterdicted, so no exchange spread is positive: no A cut."""
+    cutoff = w_star + VIOL_TOL if solver.config.enable_enhanced_int_sep else None
+    phi_val, s_hat = _defended_value(solver, _available(x_star), cutoff, deadline)
     if phi_val is not None and phi_val <= w_star + VIOL_TOL:
         return [], phi_val
-    ordering = cutgen.default_ordering(oracle, s_hat)
-    built = _build_cuts(oracle, knapsacks, config, s_hat, ordering, x_star, dominating)
-    return built, phi_val
+    _, main = _main_cut(solver, s_hat, cutgen.default_ordering(solver.oracle, s_hat), x_star)
+    return [main], phi_val
 
 
 @dataclass(order=True)
@@ -392,38 +376,18 @@ class InterdictionSolver:
             frac = [i for i in range(self.n) if INT_TOL < xs[i] < 1.0 - INT_TOL]
             if not frac:
                 x_hat = [1.0 if xs[i] > 0.5 else 0.0 for i in range(self.n)]
-                built, phi_val = separate_integer(
-                    self.oracle,
-                    self.knapsacks,
-                    self.config,
-                    w_star,
-                    x_hat,
-                    self.dominating,
-                    phi_cache=self.phi_cache,
-                    deadline=deadline,
-                )
+                built, phi_val = separate_integer(self, w_star, x_hat, deadline)
                 if sum(self._add_cut(c) for c in built):
                     continue
                 # no violated cut, or each one duplicated an existing row:
                 # accept at the exact defended value
                 if phi_val is None:
-                    avail = [i for i in range(self.n) if x_hat[i] == 0.0]
-                    phi_val = follower.solve_sep(
-                        self.oracle, avail, self.knapsacks, deadline=deadline
-                    ).value
+                    phi_val, _ = _defended_value(self, _available(x_hat), None, deadline)
                 incumbent = (phi_val, tuple(int(v) for v in x_hat))
                 break
             if not frac_done:
                 frac_done = True
-                built = separate_fractional(
-                    self.oracle,
-                    self.knapsacks,
-                    self.leader,
-                    self.config,
-                    self.dominating,
-                    w_star,
-                    xs,
-                )
+                built = separate_fractional(self, w_star, xs)
                 if sum(self._add_cut(c) for c in built):
                     continue
             pick = min(frac, key=lambda i: (abs(xs[i] - 0.5), i))

@@ -173,6 +173,8 @@ class _CoverageEvaluator(Evaluator):
         self._value += orc.weights[j] * (old - prod)
 
     def add(self, i):
+        if not 0 <= i < self._oracle.n:
+            self._oracle.check_item(i)  # raises
         if i in self.members:
             return
         self.members.add(i)
@@ -184,6 +186,8 @@ class _CoverageEvaluator(Evaluator):
                 self._recompute(j)
 
     def remove(self, i):
+        if not 0 <= i < self._oracle.n:
+            self._oracle.check_item(i)  # raises
         if i not in self.members:
             return
         self.members.discard(i)

@@ -5,6 +5,7 @@ from typing import List, Sequence
 import numpy as np
 import pytest
 
+from subig import bruteforce
 from subig.core import Evaluator, KnapsackSystem, SubmodularOracle
 from subig.problems import BiigInstance, WmcigInstance
 
@@ -120,6 +121,17 @@ def leader_feasible_vectors(n: int, k: int):
         for chosen in itertools.combinations(range(n), ones):
             out.append(tuple(1 if i in chosen else 0 for i in range(n)))
     return out
+
+
+def value_table(inst, oracle: SubmodularOracle):
+    """phi at every interdiction of at most k items, keyed by 0/1 vector, by brute force."""
+    knap = inst.knapsacks()
+    table = {}
+    for chosen in bruteforce.leader_sets(oracle.n, inst.k):
+        avail = [i for i in range(oracle.n) if i not in chosen]
+        vec = tuple(1 if i in chosen else 0 for i in range(oracle.n))
+        table[vec] = bruteforce.brute_force_phi(oracle, avail, knap)
+    return table
 
 
 def all_binary_vectors(n: int):

@@ -5,6 +5,8 @@ import pytest
 from subig import bruteforce
 from subig.problems import gen_wmcig
 
+from conftest import value_table
+
 
 def test_phi_examples(cover_example, bipartite_example):
     borc = bipartite_example.oracle()
@@ -39,11 +41,12 @@ def test_solve_guard():
 
 
 def test_value_table(cover_example):
-    res = bruteforce.brute_force_solve(cover_example, cover_example.oracle(), with_table=True)
-    assert res.table[(0, 0, 0)] == 24.0
-    assert res.table[(0, 1, 0)] == 15.0
-    assert min(res.table.values()) == res.value
-    assert len(res.table) == 4  # empty set plus three singles at k = 1
+    res = bruteforce.brute_force_solve(cover_example, cover_example.oracle())
+    table = value_table(cover_example, cover_example.oracle())
+    assert table[(0, 0, 0)] == 24.0
+    assert table[(0, 1, 0)] == 15.0
+    assert min(table.values()) == res.value
+    assert len(table) == 4  # empty set plus three singles at k = 1
 
 
 def test_phi_monotone_in_availability(cover_example):

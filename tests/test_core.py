@@ -62,6 +62,19 @@ def test_gains_reject_ids_outside_the_ground_set():
     assert ev.gains([]).shape == (0,)
 
 
+def test_add_and_remove_reject_ids_outside_the_ground_set():
+    """An id below 0 or past n - 1 raises and leaves the evaluator as it
+    was: -1 does not become a member that hides the last item's gain."""
+    ev = gen_wmcig(6, 1, 0.2, 0).oracle().scratch({0})
+    before = (set(ev.members), ev.value, ev.gains(range(6)).tolist())
+    for bad in (-1, 6):
+        for update in (ev.add, ev.remove):
+            with pytest.raises(ValueError, match="outside ground set"):
+                update(bad)
+    assert (ev.members, ev.value, ev.gains(range(6)).tolist()) == before
+    assert before[2][5] == 73.0
+
+
 def test_marginal_gain_examples(cover_example, bipartite_example):
     worc = cover_example.oracle()
     borc = bipartite_example.oracle()

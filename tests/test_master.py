@@ -10,11 +10,22 @@ from subig import bruteforce, cuts, follower, lp, master
 from subig.master import SolverConfig
 from subig.problems import WmcigInstance, gen_biig, gen_wmcig
 
-from conftest import leader_feasible_vectors, random_knapsack
+from conftest import leader_feasible_vectors, random_knapsack, value_table
 
 
 def cfg(setting, **kw):
     return SolverConfig.from_setting(setting, **kw)
+
+
+def sep_state(inst, setting, **attrs):
+    """A stand-in for the solver attributes that the separation functions
+    read: the instance's oracle, knapsacks and leader budget, the setting's
+    config, no dominance lists and an empty phi cache, unless given."""
+    state = dict(
+        oracle=inst.oracle(), knapsacks=inst.knapsacks(), leader=inst.leader_budget(),
+        config=cfg(setting), dominating={}, phi_cache={},
+    )
+    return SimpleNamespace(**{**state, **attrs})
 
 
 def test_solve_cover_example(cover_example):
@@ -39,24 +50,16 @@ def test_solve_bipartite_example(bipartite_example):
 
 
 def test_separate_integer_examples(cover_example, bipartite_example):
-    worc = cover_example.oracle()
-    built, phi_val = master.separate_integer(
-        worc, cover_example.knapsacks(), cfg("I-S1"), 0.0, [0, 1, 0], {}, {}
-    )
+    built, phi_val = master.separate_integer(sep_state(cover_example, "I-S1"), 0.0, [0, 1, 0])
     assert len(built) == 1
     assert built[0].c0 == 15.0
     assert set(built[0].source) == {0, 2}
     assert phi_val == 15.0  # exact path solves the follower to optimality
 
-    built, phi_val = master.separate_integer(
-        worc, cover_example.knapsacks(), cfg("I-S1"), 15.0, [0, 1, 0], {}, {}
-    )
+    built, phi_val = master.separate_integer(sep_state(cover_example, "I-S1"), 15.0, [0, 1, 0])
     assert built == [] and phi_val == 15.0
 
-    borc = bipartite_example.oracle()
-    built, _ = master.separate_integer(
-        borc, bipartite_example.knapsacks(), cfg("I-S1"), 1.0, [0, 0, 0], {}, {}
-    )
+    built, _ = master.separate_integer(sep_state(bipartite_example, "I-S1"), 1.0, [0, 0, 0])
     assert len(built) == 1
     assert built[0].c0 == pytest.approx(1.6, abs=1e-9)
     assert set(built[0].source) == {1, 2}
@@ -77,15 +80,34 @@ def test_alternative_cut_at_an_integer_point_has_no_pairs(cover_example, biparti
                 for base in (cuts.basic_sic(orc, s_hat),
                              cuts.improved_sic(orc, s_hat, cuts.default_ordering(orc, s_hat))):
                     assert cuts.alternative_sic(orc, base, x, knap) is base
-            built, _ = master.separate_integer(orc, knap, cfg("IA-S1"), -1.0, x, {}, {})
+            built, _ = master.separate_integer(sep_state(inst, "IA-S1", oracle=orc), -1.0, x)
             assert len(built) == 1 and built[0].family == "improved"
 
 
+def test_separate_integer_builds_no_alternative_cut(monkeypatch, cover_example, bipartite_example):
+    """At an integer point the alternative cut would equal its base (see the
+    test above), so separate_integer does not build it under A; the
+    fractional separation still does."""
+    calls = []
+    real_alternative = cuts.alternative_sic
+
+    def counting_alternative(*args, **kwargs):
+        calls.append(args)
+        return real_alternative(*args, **kwargs)
+
+    monkeypatch.setattr(cuts, "alternative_sic", counting_alternative)
+    for inst in (cover_example, bipartite_example):
+        for setting in ("IA-S1", "BLDA-S2", "ILDAE-S3"):
+            for x in leader_feasible_vectors(inst.n, inst.k):
+                built, _ = master.separate_integer(sep_state(inst, setting), -1.0, x)
+                assert len(built) == 1
+    assert calls == []
+    master.separate_fractional(sep_state(cover_example, "IA-S1"), 0.0, [0.5, 0.5, 0.5])
+    assert len(calls) == 1
+
+
 def test_separate_integer_enhanced_uses_greedy(cover_example):
-    worc = cover_example.oracle()
-    built, phi_val = master.separate_integer(
-        worc, cover_example.knapsacks(), cfg("IE-S1"), 10.0, [0, 1, 0], {}, {}
-    )
+    built, phi_val = master.separate_integer(sep_state(cover_example, "IE-S1"), 10.0, [0, 1, 0])
     assert len(built) == 1 and built[0].c0 == 15.0
     assert phi_val is None  # greedy shortcut skips the exact solve
 
@@ -104,17 +126,14 @@ def test_separate_integer_enhanced_paths(cover_example, bipartite_example):
     """The E paths beyond the greedy shortcut of the test above."""
     worc = cover_example.oracle()
     knap = cover_example.knapsacks()
-    none = {}
     # no violated cut at w* = phi: the cutoff solve runs to optimality
     phi_val = follower.phi(worc, [0, 1, 0], knap)
-    built, got = master.separate_integer(worc, knap, cfg("IE-S1"), phi_val, [0, 1, 0], none, {})
+    built, got = master.separate_integer(sep_state(cover_example, "IE-S1"), phi_val, [0, 1, 0])
     assert built == [] and got == phi_val
 
     # the BIIG example: greedy over {0, 2} already beats w* = 0.5
     borc = bipartite_example.oracle()
-    built, _ = master.separate_integer(
-        borc, bipartite_example.knapsacks(), cfg("IE-S1"), 0.5, [0, 1, 0], none, {}
-    )
+    built, _ = master.separate_integer(sep_state(bipartite_example, "IE-S1"), 0.5, [0, 1, 0])
     assert borc.value(set(built[0].source)) == pytest.approx(0.98, abs=1e-9)
 
     # greedy stops at 8 < w* = 9 < phi = 10: the cutoff solve finds the cut
@@ -122,9 +141,7 @@ def test_separate_integer_enhanced_paths(cover_example, bipartite_example):
     torc = trap.oracle()
     greedy_set, _ = follower.greedy(torc, range(3), knapsacks=trap.knapsacks())
     assert torc.value(greedy_set) == 8.0
-    built, _ = master.separate_integer(
-        torc, trap.knapsacks(), cfg("IE-S1"), 9.0, [0, 0, 0], none, {}
-    )
+    built, _ = master.separate_integer(sep_state(trap, "IE-S1", oracle=torc), 9.0, [0, 0, 0])
     assert set(built[0].source) == {0, 1} and built[0].c0 == 10.0
 
 
@@ -140,10 +157,7 @@ def test_separate_integer_enhanced_runs_greedy_once(monkeypatch):
 
     monkeypatch.setattr(follower, "greedy", counting_greedy)
     trap = _greedy_trap()
-    built, _ = master.separate_integer(
-        trap.oracle(), trap.knapsacks(), cfg("IE-S1"), 9.0, [0, 0, 0],
-        {}, {},
-    )
+    built, _ = master.separate_integer(sep_state(trap, "IE-S1"), 9.0, [0, 0, 0])
     assert built[0].c0 == 10.0
     assert len(calls) == 1
 
@@ -162,7 +176,7 @@ def test_separate_integer_builds_a_violated_cut_from_the_cache(cover_example, mo
     cache = {frozenset({0, 2}): (15.0, s_hat)}  # x = (0, 1, 0) leaves 0 and 2
     w_star = 15.0 - 2 * master.VIOL_TOL
     built, phi_val = master.separate_integer(
-        worc, cover_example.knapsacks(), cfg("I-S1"), w_star, [0, 1, 0], {}, cache
+        sep_state(cover_example, "I-S1", oracle=worc, phi_cache=cache), w_star, [0, 1, 0]
     )
     assert len(built) == 1 and set(built[0].source) == s_hat
     assert built[0].rhs([0, 1, 0]) == 15.0 > w_star
@@ -170,38 +184,26 @@ def test_separate_integer_builds_a_violated_cut_from_the_cache(cover_example, mo
 
 
 def test_fractional_candidate_s1(cover_example):
-    worc = cover_example.oracle()
-    s, order = master.fractional_candidate(
-        worc, [0.5, 0.0, 0.0], "S1", "improved",
-        cover_example.knapsacks(), cover_example.leader_budget(),
-    )
+    s, order = master.fractional_candidate(sep_state(cover_example, "I-S1"), [0.5, 0.0, 0.0])
     assert s == {1, 2} and order == (2, 1)
 
 
 def test_fractional_candidate_s2(cover_example):
-    worc = cover_example.oracle()
-    s, order = master.fractional_candidate(
-        worc, [0.6, 0.4, 0.0], "S2", "improved",
-        cover_example.knapsacks(), cover_example.leader_budget(),
-    )
+    s, order = master.fractional_candidate(sep_state(cover_example, "I-S2"), [0.6, 0.4, 0.0])
     assert s == {1, 2} and order == (2, 1)
 
 
 def test_fractional_candidate_s3_all_zero_matches_greedy(cover_example):
     worc = cover_example.oracle()
     knap = cover_example.knapsacks()
-    leader = cover_example.leader_budget()
-    s3 = master.fractional_candidate(worc, [0.0] * 3, "S3", "improved", knap, leader)
+    s3 = master.fractional_candidate(sep_state(cover_example, "I-S3", oracle=worc), [0.0] * 3)
     assert s3 == follower.greedy(worc, range(3), knapsacks=knap)
 
 
 def test_fractional_candidate_s3_basic_stops_on_negative_score(cover_example):
-    worc = cover_example.oracle()
-    knap = cover_example.knapsacks()
     # every site fully interdicted in the relaxation: scores rho_i(S) - rho_i(0)
     # start at zero for the first pick, then go negative
-    leader = cover_example.leader_budget()
-    s, order = master.fractional_candidate(worc, [1.0, 1.0, 1.0], "S3", "basic", knap, leader)
+    s, order = master.fractional_candidate(sep_state(cover_example, "B-S3"), [1.0, 1.0, 1.0])
     assert len(s) <= 2
 
 
@@ -244,33 +246,25 @@ def test_fractional_candidate_s3_matches_a_per_candidate_loop():
         x[rng.random(orc.n) < 0.25] = 0.0
         x[rng.random(orc.n) < 0.15] = 1.0
         x_star = x.tolist()
-        for family in ("improved", "basic"):
-            expected = _s3_reference(orc, x_star, family, knap)
-            s, order = master.fractional_candidate(
-                orc, x_star, "S3", family, knap, inst.leader_budget()
-            )
+        for setting in ("I-S3", "B-S3"):
+            state = sep_state(inst, setting, oracle=orc, knapsacks=knap)
+            expected = _s3_reference(orc, x_star, state.config.cut_family, knap)
+            s, order = master.fractional_candidate(state, x_star)
             assert order == expected and s == frozenset(expected)
             picks += len(order)
     assert picks > 0
 
 
 def test_separate_fractional_examples(cover_example):
-    worc = cover_example.oracle()
-    knap = cover_example.knapsacks()
-    leader = cover_example.leader_budget()
-    dom = cover_example.dominating_lists()
-    got = master.separate_fractional(
-        worc, knap, leader, cfg("I-S1"), dom, 0.0, [0.5, 0.5, 0.5]
-    )
+    state = sep_state(cover_example, "I-S1", dominating=cover_example.dominating_lists())
+    got = master.separate_fractional(state, 0.0, [0.5, 0.5, 0.5])
     assert len(got) == 1
     cut = got[0]
     assert cut.c0 == 24.0 and cut.g == {2: -15.0, 1: -9.0}
     assert cut.rhs([0.5, 0.5, 0.5]) == pytest.approx(12.0)
 
     # no violation once w* already matches the candidate bound
-    got = master.separate_fractional(
-        worc, knap, leader, cfg("I-S1"), dom, 24.0, [0.5, 0.5, 0.5]
-    )
+    got = master.separate_fractional(state, 24.0, [0.5, 0.5, 0.5])
     assert got == []
 
 
@@ -495,8 +489,8 @@ def test_integer_point_whose_cuts_are_all_rows_is_accepted_at_phi(
 ):
     """When every cut an integer separation returns is already a row, the
     node accepts its point at the exact defended value: the one the
-    separation reports, or else one exact follower.solve_sep run (E mode
-    may report none)."""
+    separation reports, or else (E mode may report none) the one the phi
+    cache holds or one exact follower.solve_sep run puts there."""
     orc = cover_example.oracle()
     knap = cover_example.knapsacks()
     solver = master.InterdictionSolver(cover_example, orc, cfg(setting))
@@ -522,6 +516,11 @@ def test_integer_point_whose_cuts_are_all_rows_is_accepted_at_phi(
     assert solver.model.n_rows == rows  # the cut was a duplicate
     assert incumbent == (phi_exact, x_hat) and children == []
     assert len(sep_calls) == (0 if reported else 1)
+    if not reported:
+        assert solver.phi_cache[frozenset({0, 2})][0] == phi_exact
+        # the same point at another node reads the cache
+        _, incumbent, _, _ = solver._process_node(node, None, math.inf)
+        assert incumbent == (phi_exact, x_hat) and len(sep_calls) == 1
 
 
 @pytest.mark.parametrize("example", ["cover_example", "bipartite_example"])
@@ -605,7 +604,7 @@ def test_all_added_cuts_are_globally_valid():
     orc = inst.oracle()
     solver = master.InterdictionSolver(inst, orc, cfg("ILDAE-S2"))
     solver.solve()
-    table = bruteforce.brute_force_solve(inst, orc, with_table=True).table
+    table = value_table(inst, orc)
     w = solver.w
     model = solver.model
     cut_rows = [(row, rhs) for row, rhs in zip(model.A, model.rhs) if row[w] == -1.0]
