@@ -5,12 +5,18 @@ The node relaxation is  min w  over the leader polytope plus all interdiction
 cuts accumulated so far (cuts are globally valid and never dropped).  Integer
 candidates are separated exactly through the follower solver; fractional
 points get one heuristic separation round per node (strategies S1/S2/S3).
-Node selection is best-bound, branching is most-fractional.  The root LP
-starts from the slack basis; each later LP starts from the optimal basis of
-the one before it, which a child node inherits from its parent.  Its basis
-inverse goes along while the open nodes times its size stay within
-``INVERSE_HEAP_BYTES``; past that a child refactorizes when popped, so the
-inverses the open nodes hold stay within about that many bytes.
+Node selection is best-bound.  A node branches on the fractional item i
+with the largest rho_i(empty) * min(x*_i, 1 - x*_i), ties to the lowest id:
+by submodularity rho_i(empty) is the most that interdicting i can lower the
+follower's value, so the rule splits where the LP is both undecided and the
+follower has most at stake.
+
+The root LP starts from the slack basis; each later LP starts from the
+optimal basis of the one before it, which a child node inherits from its
+parent.  Its basis inverse goes along while the open nodes times its size
+stay within ``INVERSE_HEAP_BYTES``; past that a child refactorizes when
+popped, so the inverses the open nodes hold stay within about that many
+bytes.
 
 The separation functions take a leader point and the solver, or any object
 with its oracle, knapsacks, leader, config, dominating and phi_cache
@@ -358,7 +364,10 @@ class InterdictionSolver:
         """(bound, incumbent or None, fixings of each child, last LP basis)
         of one node.  Each LP starts from the basis of the one before it: the
         parent's last, then this node's previous round.  A fixing or a new
-        cut row keeps that basis dual feasible.  Every LP stops at ``deadline``."""
+        cut row keeps that basis dual feasible.  Every LP stops at ``deadline``.
+        A fractional node that separation leaves unchanged branches on the item
+        with the largest rho_i(empty) * min(x*_i, 1 - x*_i), ties to the lowest
+        id."""
         frac_done = False
         incumbent = None
         children: List[Dict[int, int]] = []
@@ -390,7 +399,8 @@ class InterdictionSolver:
                 built = separate_fractional(self, w_star, xs)
                 if sum(self._add_cut(c) for c in built):
                     continue
-            pick = min(frac, key=lambda i: (abs(xs[i] - 0.5), i))
+            rho0 = self.oracle.rho_empty()
+            pick = min(frac, key=lambda i: (-rho0[i] * min(xs[i], 1.0 - xs[i]), i))
             for val in (0, 1):
                 fixings = {**node.fixings, pick: val}
                 if val == 0 or self.leader.fits(j for j, v in fixings.items() if v == 1):
